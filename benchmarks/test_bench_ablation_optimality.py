@@ -65,18 +65,18 @@ def test_heuristic_optimality_gap(benchmark, record):
     rows, gaps = run_once(benchmark, study)
     # Also pit the simulated-annealing searcher against the optimum on
     # the same d695 instance (independent check on the list heuristic).
-    from repro.core.anneal import anneal_search
+    from repro.search import run_search
 
     soc = load_benchmark("d695").subset(
         ["s5378", "s9234", "s13207", "s15850", "s38417", "s38584"]
     )
     analyses = {c.name: analysis_for(c) for c in soc.cores}
-    sa = anneal_search(
+    sa = run_search(
         list(soc.core_names),
         16,
         lambda n, w: analyses[n].uncompressed_point(w).test_time,
-        iterations=4000,
-        seed=7,
+        strategy="anneal",
+        options={"iterations": 4000, "seed": 7},
     )
     exact_16 = next(r for r in rows if r[1] == 16)[3]
     assert sa.makespan <= exact_16 * 1.15

@@ -16,8 +16,8 @@ from repro import obs
 from repro.compression.cubes import generate_cubes
 from repro.compression.estimator import estimate_codewords
 from repro.compression.selective import encode_slices, slice_costs
-from repro.core.partition import search_partitions
 from repro.core.scheduler import schedule_cores
+from repro.search import run_search
 from repro.soc.core import Core
 from repro.soc.industrial import industrial_core
 from repro.wrapper.design import clear_wrapper_design_cache, design_wrapper
@@ -87,7 +87,7 @@ def test_partition_search_exhaustive(benchmark):
         return -(-work[name] // width)
 
     result = benchmark(
-        lambda: search_partitions(names, 32, time_of, strategy="exhaustive")
+        lambda: run_search(names, 32, time_of, strategy="exhaustive")
     )
     assert result.makespan > 0
 

@@ -18,12 +18,13 @@ Four short studies on the same three-core workload:
 
 from repro.core.multifrequency import optimize_multifrequency
 from repro.core.optimal import optimal_schedule
-from repro.core.partition import iter_partitions, search_partitions
+from repro.core.partition import iter_partitions
 from repro.core.preemption import schedule_preemptive
 from repro.core.robust import evaluate_under_uncertainty, robust_search
 from repro.core.scheduler import schedule_cores
 from repro.core.timeline import schedule_constrained
 from repro.explore.dse import analysis_for
+from repro.search import run_search
 from repro.soc.core import Core
 
 
@@ -99,7 +100,7 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     print("3. robustness to +-15% test-time uncertainty (W = 12)")
-    nominal = search_partitions(names, 12, time_of)
+    nominal = run_search(names, 12, time_of)
     nominal_report = evaluate_under_uncertainty(
         names, nominal.outcome, time_of, epsilon=0.15
     )

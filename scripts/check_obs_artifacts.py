@@ -7,34 +7,18 @@ Chrome trace-event JSON carrying spans from all four pipeline stages
 plus at least one worker lane, and that the report matches the
 ``run-report`` schema with internally consistent numbers.
 
-It also validates the hot-path benchmark artifact
-(``scripts/bench_hotpath.py`` output): schema, internal consistency of
-the latency numbers, and -- crucially -- that the fast and scalar
-stacks produced identical plans, without which the speedups would
-compare apples to oranges.
-
-Bench artifacts are dispatched by their ``kind`` field:
-``bench-hotpath`` (``scripts/bench_hotpath.py``), ``bench-search``
-(``scripts/bench_search.py``, the architecture-search backend
-throughput/quality record on the many-core synthetic workload),
-``bench-serve`` (``scripts/loadtest_serve.py``, the planning-service
-load test with its telemetry-overhead gate), and ``bench-packing``
-(``scripts/bench_packing.py``, fixed-width partitions vs the
-flexible-width rectangle packer across the benchmark designs, gated
-on at least one design never being worse packed).
+With ``--bench`` it validates the ``bench-serve`` artifact that
+``scripts/loadtest_serve.py`` writes: the planning-service load test
+with its telemetry-overhead gate.
 
 Usage::
 
     python scripts/check_obs_artifacts.py TRACE.json REPORT.json
-    python scripts/check_obs_artifacts.py --bench BENCH_hotpath.json
-    python scripts/check_obs_artifacts.py --bench BENCH_search.json
     python scripts/check_obs_artifacts.py --bench BENCH_serve.json
-    python scripts/check_obs_artifacts.py --bench BENCH_packing.json
 
 Exit status 0 when the artifacts check out; 1 with a message on
 stderr otherwise.  ``check_trace`` / ``check_report`` /
-``check_bench_hotpath`` / ``check_bench_search`` are importable for
-tests.
+``check_bench_serve`` are importable for tests.
 """
 
 from __future__ import annotations
@@ -136,239 +120,6 @@ def check_report(data: Any) -> dict[str, int]:
     return {
         "counters": len(metrics["counters"]),
         "tams": len(data["tam_utilization"]),
-    }
-
-
-def check_bench_hotpath(data: Any) -> dict[str, Any]:
-    """Validate a ``bench-hotpath`` JSON document; returns a summary.
-
-    Checks the schema envelope, every run's required fields, that the
-    recorded speedup equals ``scalar_seconds / fast_seconds``, and that
-    both stacks planned identically (``identical`` is recorded by the
-    bench runner from the actual plan outputs).
-    """
-    if not isinstance(data, dict):
-        _fail("bench: top level must be an object")
-    if data.get("kind") != "bench-hotpath":
-        _fail(f"bench: kind must be 'bench-hotpath', got {data.get('kind')!r}")
-    if data.get("schema") != 1:
-        _fail(f"bench: unknown schema {data.get('schema')!r}")
-    for key in ("width_budget", "repeats", "python", "numpy", "runs"):
-        if key not in data:
-            _fail(f"bench: missing field {key!r}")
-    runs = data["runs"]
-    if not isinstance(runs, list) or not runs:
-        _fail("bench: 'runs' must be a non-empty list")
-    speedups: dict[str, float] = {}
-    for run in runs:
-        design = run.get("design")
-        if not isinstance(design, str) or not design:
-            _fail("bench: run without a design name")
-        for key in (
-            "fast_seconds", "scalar_seconds", "speedup", "identical",
-            "test_time", "test_data_volume", "tam_widths",
-            "kernel_seconds", "stage_seconds",
-        ):
-            if key not in run:
-                _fail(f"bench: run {design!r} missing field {key!r}")
-        if run["fast_seconds"] <= 0 or run["scalar_seconds"] <= 0:
-            _fail(f"bench: run {design!r} has non-positive latency")
-        ratio = run["scalar_seconds"] / run["fast_seconds"]
-        if abs(ratio - run["speedup"]) > 0.011 * ratio:
-            _fail(
-                f"bench: run {design!r} speedup {run['speedup']} "
-                f"inconsistent with latencies ({ratio:.2f})"
-            )
-        if run["identical"] is not True:
-            _fail(f"bench: run {design!r} fast/scalar plans differ")
-        if run["test_time"] <= 0:
-            _fail(f"bench: run {design!r} test_time must be positive")
-        for section in ("kernel_seconds", "stage_seconds"):
-            timings = run[section]
-            if not isinstance(timings, dict):
-                _fail(f"bench: run {design!r} {section} must be an object")
-            for name, value in timings.items():
-                if not isinstance(value, (int, float)) or value < 0:
-                    _fail(
-                        f"bench: run {design!r} {section}[{name!r}] "
-                        "must be a non-negative number"
-                    )
-        speedups[design] = run["speedup"]
-    return {"runs": len(runs), "speedups": speedups}
-
-
-SCHEMA_KIND_SEARCH = "bench-search"
-
-#: Required backends in a ``bench-search`` document -- the metaheuristic
-#: pair the search layer was built for, plus the greedy baseline.
-SEARCH_BACKENDS = ("greedy", "anneal", "evolutionary")
-
-
-def check_bench_search(data: Any) -> dict[str, Any]:
-    """Validate a ``bench-search`` JSON document; returns a summary.
-
-    Checks the schema envelope, that the greedy/anneal/evolutionary
-    backends are all present, and every run's internal consistency:
-    positive latency, ``evals_per_sec`` matching
-    ``evaluations / seconds``, a feasible width vector, and a positive
-    best makespan.
-    """
-    if not isinstance(data, dict):
-        _fail("bench: top level must be an object")
-    if data.get("kind") != SCHEMA_KIND_SEARCH:
-        _fail(f"bench: kind must be 'bench-search', got {data.get('kind')!r}")
-    if data.get("schema") != 1:
-        _fail(f"bench: unknown schema {data.get('schema')!r}")
-    for key in (
-        "design", "width_budget", "seed", "cores", "analysis_seconds",
-        "python", "numpy", "runs",
-    ):
-        if key not in data:
-            _fail(f"bench: missing field {key!r}")
-    runs = data["runs"]
-    if not isinstance(runs, list) or not runs:
-        _fail("bench: 'runs' must be a non-empty list")
-    width_budget = data["width_budget"]
-    seen: dict[str, int] = {}
-    for run in runs:
-        backend = run.get("backend")
-        if not isinstance(backend, str) or not backend:
-            _fail("bench: run without a backend name")
-        for key in (
-            "options", "seconds", "evaluations", "evals_per_sec",
-            "best_makespan", "tam_widths",
-        ):
-            if key not in run:
-                _fail(f"bench: run {backend!r} missing field {key!r}")
-        if not isinstance(run["options"], dict):
-            _fail(f"bench: run {backend!r} options must be an object")
-        if run["seconds"] <= 0:
-            _fail(f"bench: run {backend!r} has non-positive latency")
-        if not isinstance(run["evaluations"], int) or run["evaluations"] < 1:
-            _fail(f"bench: run {backend!r} needs a positive evaluation count")
-        rate = run["evaluations"] / run["seconds"]
-        if abs(rate - run["evals_per_sec"]) > 0.02 * rate:
-            _fail(
-                f"bench: run {backend!r} evals_per_sec "
-                f"{run['evals_per_sec']} inconsistent with "
-                f"{run['evaluations']} evals / {run['seconds']}s"
-            )
-        if run["best_makespan"] <= 0:
-            _fail(f"bench: run {backend!r} best_makespan must be positive")
-        widths = run["tam_widths"]
-        if not isinstance(widths, list) or not widths:
-            _fail(f"bench: run {backend!r} tam_widths must be non-empty")
-        if any(not isinstance(w, int) or w < 1 for w in widths):
-            _fail(f"bench: run {backend!r} has a non-positive TAM width")
-        if sum(widths) > width_budget:
-            _fail(
-                f"bench: run {backend!r} widths {widths} exceed the "
-                f"budget {width_budget}"
-            )
-        seen[backend] = run["best_makespan"]
-    for backend in SEARCH_BACKENDS:
-        if backend not in seen:
-            _fail(f"bench: no run for required backend {backend!r}")
-    return {"runs": len(runs), "best_makespans": seen}
-
-
-SCHEMA_KIND_PACKING = "bench-packing"
-
-#: Designs a ``bench-packing`` document must cover: the paper's six
-#: benchmark SOCs.  At least one synthetic ``synth<N>`` design is
-#: additionally required (the many-core regime).
-PACKING_DESIGNS = (
-    "d695",
-    "d2758",
-    "System1",
-    "System2",
-    "System3",
-    "System4",
-)
-
-
-def check_bench_packing(data: Any) -> dict[str, Any]:
-    """Validate a ``bench-packing`` JSON document; returns a summary.
-
-    Checks the schema envelope, that every required design appears (the
-    six benchmark SOCs plus a synthetic one), each run's internal
-    consistency (positive makespans, a verified packed plan,
-    utilization in ``(0, 1]``, the recorded ratio matching the two
-    makespans), that ``never_worse_designs`` matches the runs -- and
-    the headline gate: at least one design is never worse packed than
-    fixed at any recorded width.
-    """
-    if not isinstance(data, dict):
-        _fail("bench: top level must be an object")
-    if data.get("kind") != SCHEMA_KIND_PACKING:
-        _fail(f"bench: kind must be 'bench-packing', got {data.get('kind')!r}")
-    if data.get("schema") != 1:
-        _fail(f"bench: unknown schema {data.get('schema')!r}")
-    for key in (
-        "designs", "widths", "python", "numpy", "runs",
-        "never_worse_designs",
-    ):
-        if key not in data:
-            _fail(f"bench: missing field {key!r}")
-    runs = data["runs"]
-    if not isinstance(runs, list) or not runs:
-        _fail("bench: 'runs' must be a non-empty list")
-    covered = {run.get("design") for run in runs}
-    for design in PACKING_DESIGNS:
-        if design not in covered:
-            _fail(f"bench: no run for required design {design!r}")
-    if not any(
-        isinstance(d, str) and d.startswith("synth") for d in covered
-    ):
-        _fail("bench: no synthetic (synth<N>) design covered")
-    worst: dict[str, float] = {}
-    for run in runs:
-        design = run.get("design")
-        if not isinstance(design, str) or not design:
-            _fail("bench: run without a design name")
-        label = f"{design}@W={run.get('width')}"
-        for key in ("width", "cores", "fixed", "packed", "ratio"):
-            if key not in run:
-                _fail(f"bench: run {label!r} missing field {key!r}")
-        fixed, packed = run["fixed"], run["packed"]
-        for key in ("makespan", "strategy", "partitions_evaluated", "seconds"):
-            if key not in fixed:
-                _fail(f"bench: run {label!r} fixed missing {key!r}")
-        for key in (
-            "makespan", "heuristic", "placements_evaluated",
-            "utilization", "seconds", "verified",
-        ):
-            if key not in packed:
-                _fail(f"bench: run {label!r} packed missing {key!r}")
-        if fixed["makespan"] <= 0 or packed["makespan"] <= 0:
-            _fail(f"bench: run {label!r} has a non-positive makespan")
-        if packed["verified"] is not True:
-            _fail(f"bench: run {label!r} packed plan is not verified")
-        if not 0.0 < packed["utilization"] <= 1.0:
-            _fail(f"bench: run {label!r} utilization out of (0, 1]")
-        ratio = packed["makespan"] / fixed["makespan"]
-        if abs(ratio - run["ratio"]) > 0.001 * ratio + 1e-9:
-            _fail(
-                f"bench: run {label!r} ratio {run['ratio']} inconsistent "
-                f"with the makespans ({ratio:.4f})"
-            )
-        worst[design] = max(worst.get(design, 0.0), ratio)
-    never_worse = sorted(d for d, r in worst.items() if r <= 1.0)
-    if sorted(data["never_worse_designs"]) != never_worse:
-        _fail(
-            f"bench: never_worse_designs {data['never_worse_designs']} "
-            f"inconsistent with the runs ({never_worse})"
-        )
-    if not never_worse:
-        _fail(
-            "bench: packing gate failed: no design is never worse packed "
-            "than fixed"
-        )
-    return {
-        "runs": len(runs),
-        "designs": len(covered),
-        "never_worse": never_worse,
-        "worst_ratio": round(max(worst.values()), 3),
     }
 
 
@@ -501,62 +252,25 @@ def check_bench_serve(data: Any) -> dict[str, Any]:
     }
 
 
-#: ``kind`` -> (validator, one-line renderer) for ``--bench`` files.
-BENCH_CHECKERS = {
-    "bench-hotpath": (
-        check_bench_hotpath,
-        lambda s: ", ".join(
-            f"{design} {speedup:.1f}x"
-            for design, speedup in s["speedups"].items()
-        ),
-    ),
-    SCHEMA_KIND_SEARCH: (
-        check_bench_search,
-        lambda s: ", ".join(
-            f"{backend} best {makespan}"
-            for backend, makespan in s["best_makespans"].items()
-        ),
-    ),
-    SCHEMA_KIND_SERVE: (
-        check_bench_serve,
-        lambda s: (
-            f"telemetry on {s['on_rps']}/s vs off {s['off_rps']}/s "
-            f"(ratio {s['ratio']}, p99 {s['p99_on_ms']}ms)"
-        ),
-    ),
-    SCHEMA_KIND_PACKING: (
-        check_bench_packing,
-        lambda s: (
-            f"{s['designs']} designs, never worse packed: "
-            f"{', '.join(s['never_worse'])} "
-            f"(worst ratio {s['worst_ratio']})"
-        ),
-    ),
-}
-
-
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--bench":
         try:
             with open(argv[1], "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-            kind = doc.get("kind") if isinstance(doc, dict) else None
-            if kind not in BENCH_CHECKERS:
-                _fail(
-                    f"bench: unknown artifact kind {kind!r} (known: "
-                    f"{', '.join(sorted(BENCH_CHECKERS))})"
-                )
-            checker, render = BENCH_CHECKERS[kind]
-            summary = checker(doc)
+                summary = check_bench_serve(json.load(handle))
         except (OSError, json.JSONDecodeError, ArtifactError, KeyError) as error:
             print(f"FAIL: {error}", file=sys.stderr)
             return 1
-        print(f"OK: {kind} with {summary['runs']} run(s): {render(summary)}")
+        print(
+            f"OK: {SCHEMA_KIND_SERVE} with {summary['runs']} run(s): "
+            f"telemetry on {summary['on_rps']}/s vs off "
+            f"{summary['off_rps']}/s (ratio {summary['ratio']}, "
+            f"p99 {summary['p99_on_ms']}ms)"
+        )
         return 0
     if len(argv) != 2:
         print(
             "usage: check_obs_artifacts.py TRACE.json REPORT.json\n"
-            "       check_obs_artifacts.py --bench BENCH_hotpath.json",
+            "       check_obs_artifacts.py --bench BENCH_serve.json",
             file=sys.stderr,
         )
         return 2

@@ -27,8 +27,7 @@ noise of telemetry-off::
 
 ``--smoke`` shrinks the load (8 clients x 2 requests) for CI's quick
 end-to-end check.  Validation lives in
-``scripts/check_obs_artifacts.py`` (``--bench`` dispatches on the
-document's ``kind``).
+``scripts/check_obs_artifacts.py --bench``.
 """
 
 from __future__ import annotations

@@ -46,7 +46,6 @@ from repro.explore.dse import CoreAnalysis, analysis_for, analyze_soc_cores
 from repro.parallel import parallel_map, resolve_jobs
 from repro.core.architecture import TestArchitecture, DecompressorPlacement
 from repro.core.optimizer import (
-    OptimizeResult,
     optimize_per_tam,
     optimize_soc,
     optimize_soc_constrained,
@@ -116,7 +115,6 @@ __all__ = [
     "analysis_for",
     "TestArchitecture",
     "DecompressorPlacement",
-    "OptimizeResult",
     "PlanResult",
     "RunConfig",
     "RunEvent",

@@ -30,12 +30,11 @@ from repro.core.architecture import (
 from repro.core.scheduler import schedule_cores
 from repro.core.partition import iter_partitions, count_partitions
 from repro.core.optimizer import (
-    ConstrainedResult,
-    OptimizeResult,
     optimize_per_tam,
     optimize_soc,
     optimize_soc_constrained,
 )
+from repro.pipeline.result import PlanResult
 from repro.core.soclevel import optimize_soc_level_decompressor
 from repro.core.hardware import decompressor_cost, DecompressorCost
 from repro.core.timeline import (
@@ -63,7 +62,6 @@ from repro.core.robust import (
     robust_plan,
     robust_search,
 )
-from repro.core.anneal import anneal_search
 from repro.core.bus import BusPlan, optimize_bus
 
 __all__ = [
@@ -75,8 +73,7 @@ __all__ = [
     "schedule_cores",
     "iter_partitions",
     "count_partitions",
-    "OptimizeResult",
-    "ConstrainedResult",
+    "PlanResult",
     "optimize_soc",
     "optimize_soc_constrained",
     "optimize_per_tam",
@@ -103,7 +100,6 @@ __all__ = [
     "evaluate_under_uncertainty",
     "robust_plan",
     "robust_search",
-    "anneal_search",
     "BusPlan",
     "optimize_bus",
 ]

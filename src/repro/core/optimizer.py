@@ -40,13 +40,8 @@ from repro.explore.dse import DEFAULT_GRID, Mode
 from repro.pipeline.config import Compression, RunConfig, normalize_compression
 from repro.pipeline.events import EventSink
 from repro.pipeline.pipeline import Pipeline
-from repro.pipeline.result import ConstrainedResult, OptimizeResult, PlanResult
-from repro.pipeline.tables import LookupTables
+from repro.pipeline.result import PlanResult
 from repro.soc.soc import Soc
-
-#: Backward-compatible aliases for the pre-pipeline private names.
-_LookupTables = LookupTables
-_normalize_compression = normalize_compression
 
 
 def optimize_soc(

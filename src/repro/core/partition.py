@@ -1,25 +1,20 @@
-"""TAM partition enumeration + the ``search_partitions`` façade.
+"""TAM partition enumeration.
 
 This module owns the *enumeration* of the partition space (the paper's
 step 3 domain): :func:`iter_partitions`, its materialized/memoized twin
 :func:`partitions_list`, and :func:`count_partitions` with the
 ``AUTO_PARTITION_LIMIT`` that decides when "auto" stops enumerating.
 
-The *search strategies* that used to live here as private functions
-(``_exhaustive``, ``_greedy``) moved to :mod:`repro.search` as
-registered backends; :func:`search_partitions` is now a thin façade
-over :func:`repro.search.run_search`, kept because every paper-facing
-consumer (optimizer, robust planning, tests) speaks this signature.
-Results are bit-identical to the pre-refactor implementation (pinned by
-``tests/test_search_differential.py``).
+The *search strategies* over that space are registered backends of
+:mod:`repro.search`; :func:`repro.search.run_search` is their front
+door.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Iterator
 
-from repro.core.scheduler import TimeFn
 from repro.search.state import PartitionSearchResult
 
 __all__ = [
@@ -28,7 +23,6 @@ __all__ = [
     "count_partitions",
     "iter_partitions",
     "partitions_list",
-    "search_partitions",
 ]
 
 #: "auto" switches from exhaustive to greedy above this many partitions.
@@ -135,34 +129,3 @@ def count_partitions(total: int, max_parts: int, min_width: int = 1) -> int:
         )
 
     return count(total, total, max_parts)
-
-
-def search_partitions(
-    core_names: Sequence[str],
-    total_width: int,
-    time_of: TimeFn,
-    *,
-    max_parts: int | None = None,
-    min_width: int = 1,
-    strategy: str = "auto",
-    options: Mapping[str, Any] | None = None,
-) -> PartitionSearchResult:
-    """Find the best TAM partition + schedule for a width budget.
-
-    ``strategy`` names a registered :mod:`repro.search` backend ("auto"
-    picks exhaustive or greedy from the partition count); ``options``
-    passes backend hyperparameters through (e.g. ``iterations`` /
-    ``seed`` for anneal, ``generations`` / ``population`` for
-    evolutionary), validated against the backend's declared knobs.
-    """
-    from repro.search import run_search
-
-    return run_search(
-        core_names,
-        total_width,
-        time_of,
-        strategy=strategy,
-        max_parts=max_parts,
-        min_width=min_width,
-        options=options,
-    )

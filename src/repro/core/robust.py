@@ -22,8 +22,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.partition import PartitionSearchResult, search_partitions
 from repro.core.scheduler import ScheduleOutcome, TimeFn
+from repro.search import PartitionSearchResult, run_search
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def robust_search(
     def inflated(name: str, width: int) -> int:
         return max(1, int(round(time_of(name, width) * (1 + epsilon))))
 
-    search = search_partitions(
+    search = run_search(
         core_names,
         total_width,
         inflated,

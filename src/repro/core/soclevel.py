@@ -36,10 +36,11 @@ from repro.core.architecture import (
     Tam,
     TestArchitecture,
 )
-from repro.core.optimizer import OptimizeResult, optimize_soc
+from repro.core.optimizer import optimize_soc
 from repro.compression.selective import GROUP_COPY_THRESHOLD, code_parameters
 from repro.compression.estimator import DEFAULT_SAMPLES
 from repro.explore.dse import DEFAULT_GRID, Mode, analysis_for
+from repro.pipeline.result import PlanResult
 from repro.soc.soc import Soc
 from repro.wrapper.design import design_wrapper
 
@@ -89,7 +90,7 @@ def optimize_soc_level_decompressor(
     samples: int = DEFAULT_SAMPLES,
     grid: int = DEFAULT_GRID,
     max_tams: int | None = None,
-) -> OptimizeResult:
+) -> PlanResult:
     """Plan an SOC test with one chip-level decompressor.
 
     ``internal_width`` defaults to the widest internal TAM the code can
@@ -176,7 +177,7 @@ def optimize_soc_level_decompressor(
     )
     elapsed = _time.perf_counter() - started
 
-    return OptimizeResult(
+    return PlanResult(
         soc_name=soc.name,
         width_budget=ate_channels,
         compression="soc-level",

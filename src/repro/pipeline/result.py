@@ -1,16 +1,13 @@
 """The unified outcome of a pipeline run.
 
-:class:`PlanResult` supersedes the pre-pipeline ``OptimizeResult`` /
-``ConstrainedResult`` pair: one frozen dataclass carries the planned
-architecture, the run provenance (compression mode, partition-search
-statistics, wall-clock), the constraint bookkeeping (peak power, TAM
-idle time -- zero/None for unconstrained runs), and the per-stage
-timings from the event stream.  ``repro.reporting.export`` gives it a
-lossless JSON round trip (:func:`~repro.reporting.export.result_to_json`
-/ :func:`~repro.reporting.export.result_from_json`).
-
-``OptimizeResult`` and ``ConstrainedResult`` remain importable as
-aliases of this class for backward compatibility.
+:class:`PlanResult` is the one result type of every flow: one frozen
+dataclass carries the planned architecture, the run provenance
+(compression mode, partition-search statistics, wall-clock), the
+constraint bookkeeping (peak power, TAM idle time -- zero/None for
+unconstrained runs), and the per-stage timings from the event stream.
+``repro.reporting.export`` gives it a lossless JSON round trip
+(:func:`~repro.reporting.export.result_to_json` /
+:func:`~repro.reporting.export.result_from_json`).
 """
 
 from __future__ import annotations
@@ -56,8 +53,3 @@ class PlanResult:
     @property
     def tam_widths(self) -> tuple[int, ...]:
         return tuple(t.width for t in self.architecture.tams)
-
-
-#: Backward-compatible names for the pre-pipeline result types.
-OptimizeResult = PlanResult
-ConstrainedResult = PlanResult

@@ -20,10 +20,10 @@ The paper's heuristic is a four-step flow; each step is a
 
 Architecture and schedule stages are pluggable through a registry
 (:func:`register_stage` / :func:`stage_factory`), so alternative
-partitioners and schedulers -- the annealer in
-:mod:`repro.core.anneal`, the robust search in
-:mod:`repro.core.robust`, bin-packing experiments -- drop in as stages
-instead of forking the whole flow.
+partitioners and schedulers -- the :mod:`repro.search` backends, the
+robust search in :mod:`repro.core.robust`, the rectangle packer in
+:mod:`repro.pack` -- drop in as stages instead of forking the whole
+flow.
 """
 
 from __future__ import annotations

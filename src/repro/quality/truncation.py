@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.optimizer import OptimizeResult
+from repro.pipeline.result import PlanResult
 from repro.quality.coverage import CoverageModel, soc_quality
 from repro.soc.soc import Soc
 
@@ -44,7 +44,7 @@ class TruncationResult:
 
 def truncate_for_depth(
     soc: Soc,
-    plan: OptimizeResult,
+    plan: PlanResult,
     depth: int,
     *,
     models: Mapping[str, CoverageModel] | None = None,

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.optimizer import OptimizeResult
 from repro.explore.dse import CoreAnalysis, analysis_for
-from repro.pipeline import RunConfig, plan
+from repro.pipeline import PlanResult, RunConfig, plan
 from repro.reporting.tables import format_table
 from repro.soc.industrial import industrial_core, industrial_system, load_design
 from repro.soc.soc import Soc
@@ -203,9 +202,9 @@ def format_figure3(data: Figure3Data) -> str:
 class Figure4Data:
     soc_name: str
     width_budget: int
-    no_tdc: OptimizeResult
-    per_tam: OptimizeResult
-    per_core: OptimizeResult
+    no_tdc: PlanResult
+    per_tam: PlanResult
+    per_core: PlanResult
 
     @property
     def per_core_wires(self) -> int:

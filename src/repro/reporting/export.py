@@ -25,7 +25,7 @@ from repro.core.architecture import (
     Tam,
     TestArchitecture,
 )
-from repro.pipeline.result import OptimizeResult, PlanResult
+from repro.pipeline.result import PlanResult
 
 SCHEMA_VERSION = 1
 
@@ -178,7 +178,6 @@ def result_from_json(text: str) -> PlanResult:
     return result_from_dict(json.loads(text))
 
 
-#: Backward-compatible name (``PlanResult`` superseded it).
 __all__ = [
     "SCHEMA_VERSION",
     "architecture_to_dict",
@@ -189,6 +188,5 @@ __all__ = [
     "result_to_json",
     "result_from_dict",
     "result_from_json",
-    "OptimizeResult",
     "PlanResult",
 ]

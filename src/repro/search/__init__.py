@@ -7,7 +7,7 @@ move set (:mod:`~repro.search.moves`), and pluggable strategies behind
 the :class:`~repro.search.backend.SearchBackend` protocol -- built-ins
 ``exhaustive``, ``greedy``, ``anneal``, and ``evolutionary``, with
 :func:`~repro.search.backend.run_search` as the front door every
-consumer (``search_partitions``, the pipeline stages, the CLI) uses.
+consumer (the pipeline stages, the robust search, the CLI) uses.
 
 See ``docs/search.md`` for the protocol, the hyperparameters of each
 backend, and the study-store / resume workflow.

@@ -9,7 +9,7 @@ self-describe their hyperparameters (name -> type), which is what lets
 reject typos with the full list of known knobs.
 
 :func:`run_search` is the one entry point every consumer goes through
-(``search_partitions`` façade, pipeline stages, the annealer shim): it
+(pipeline stages, the robust search, the fuzz harness): it
 resolves the search space, auto-picks exhaustive vs. greedy exactly as
 the pre-refactor dispatcher did, coerces options, and runs the backend.
 """

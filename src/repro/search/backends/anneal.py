@@ -1,8 +1,9 @@
 """Simulated-annealing backend over the joint (partition, assignment) space.
 
-Behaviorally the pre-refactor ``repro/core/anneal.py`` with exactly one
-intentional change, shipped as its own fix: the temperature now cools
-**once per iteration**.  The historical loop hit ``continue`` on
+Behaviorally the pre-refactor annealer (frozen in
+``tests/_legacy_search.py``) with exactly one intentional change,
+shipped as its own fix: the temperature now cools **once per
+iteration**.  The historical loop hit ``continue`` on
 invalid moves *before* ``temperature *= cooling``, so the effective
 cooling schedule depended on the move-validity rate -- more invalid
 draws meant a hotter, longer exploration phase than the ``cooling``

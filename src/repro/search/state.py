@@ -10,10 +10,8 @@ the same architecture.
 
 :class:`SearchSpace` is the clamped, validated search domain.
 :func:`resolve_search_space` is the **one** place the
-``max_parts`` / ``min_width`` clamp-and-validate logic lives; it used
-to be copy-pasted (and subtly divergent: ``anneal_search`` silently
-clamped ``max_parts=0`` to 1 where ``search_partitions`` raised)
-between ``repro.core.partition`` and ``repro.core.anneal``.
+``max_parts`` / ``min_width`` clamp-and-validate logic lives, so every
+strategy rejects the same inputs.
 """
 
 from __future__ import annotations
@@ -111,17 +109,15 @@ def resolve_search_space(
 ) -> SearchSpace:
     """Clamp and validate the search controls into a :class:`SearchSpace`.
 
-    Shared by every entry point (``search_partitions``, the annealer
-    shim, the pipeline's architecture stages), so the rules cannot
-    drift again:
+    Shared by every entry point (:func:`~repro.search.backend.run_search`
+    and the pipeline's architecture stages), so the rules cannot drift:
 
     * ``max_parts`` defaults to ``min(num_cores, 6)`` (the paper never
       needs more TAMs than cores, and caps the enumeration at 6);
     * ``max_parts`` is clamped down so every TAM can still get
       ``min_width`` wires;
     * a budget that cannot host even one ``min_width`` TAM raises, as
-      does an explicit ``max_parts < 1`` (previously the annealer
-      silently clamped the latter to 1).
+      does an explicit ``max_parts < 1``.
     """
     if num_cores < 1:
         raise ValueError("cannot design an architecture for zero cores")

@@ -9,8 +9,8 @@ for 5 more is bit-identical to running 10 straight (pinned by
 ``tests/test_search_evolutionary.py``).
 
 The file is a single JSON document with ``kind: "search-study"`` and a
-schema version, in the same spirit as the bench/report artifacts
-validated by ``scripts/check_obs_artifacts.py``.
+schema version, in the same spirit as the run-report and serve
+load-test artifacts validated by ``scripts/check_obs_artifacts.py``.
 """
 
 from __future__ import annotations

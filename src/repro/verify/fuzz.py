@@ -33,7 +33,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.partition import search_partitions
 from repro.core.preemption import schedule_preemptive
 from repro.core.scheduler import schedule_cores
 from repro.core.timeline import schedule_constrained
@@ -41,6 +40,7 @@ from repro.explore.dse import analysis_for
 from repro.pipeline import RunConfig
 from repro.pipeline import plan as run_plan
 from repro.pipeline.tables import LookupTables
+from repro.search import run_search
 from repro.soc.core import Core
 from repro.soc.soc import Soc
 from repro.verify.invariants import (
@@ -176,10 +176,8 @@ def fuzz_one(seed: int) -> list[Finding]:
         "per-core",
     )
     single = schedule_cores(names, (width,), tables.time_of)
-    exhaustive = search_partitions(
-        names, width, tables.time_of, strategy="exhaustive"
-    )
-    greedy = search_partitions(names, width, tables.time_of, strategy="greedy")
+    exhaustive = run_search(names, width, tables.time_of, strategy="exhaustive")
+    greedy = run_search(names, width, tables.time_of, strategy="greedy")
     if exhaustive.makespan > single.makespan:
         findings.append(
             Finding(

@@ -42,7 +42,8 @@ from repro.core.architecture import (
     DecompressorPlacement,
     TestArchitecture,
 )
-from repro.core.partition import PartitionSearchResult, iter_partitions, search_partitions
+from repro.core.partition import PartitionSearchResult, iter_partitions
+from repro.search import run_search as search_partitions
 from repro.core.scheduler import build_architecture, schedule_cores
 from repro.explore.cache import AnalysisDiskCache, resolve_cache
 from repro.explore.dse import (

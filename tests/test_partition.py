@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core.partition import (
-    count_partitions,
-    iter_partitions,
-    search_partitions,
-)
+from repro.core.partition import count_partitions, iter_partitions
+from repro.search import run_search
 
 
 class TestIterPartitions:
@@ -77,14 +74,14 @@ class TestSearchPartitions:
         # Two heavy cores, width 4: both the serial full-width plan and
         # the (2, 2) parallel plan reach 50; nothing beats it.
         work = {"a": 100, "b": 100}
-        result = search_partitions(
+        result = run_search(
             ["a", "b"], 4, self.divisible_work(work), strategy="exhaustive"
         )
         assert result.makespan == 50
 
     def test_single_core_prefers_full_width(self):
         work = {"a": 100}
-        result = search_partitions(
+        result = run_search(
             ["a"], 8, self.divisible_work(work), strategy="exhaustive"
         )
         assert result.widths == (8,)
@@ -92,44 +89,44 @@ class TestSearchPartitions:
 
     def test_greedy_improves_on_single_tam(self):
         work = {c: 60 for c in "abcdef"}
-        single = search_partitions(
+        single = run_search(
             list(work), 6, self.divisible_work(work), max_parts=1
         )
-        greedy = search_partitions(
+        greedy = run_search(
             list(work), 6, self.divisible_work(work), strategy="greedy"
         )
         assert greedy.makespan <= single.makespan
 
     def test_greedy_not_far_from_exhaustive(self):
         work = {"a": 120, "b": 80, "c": 60, "d": 20}
-        exact = search_partitions(
+        exact = run_search(
             list(work), 8, self.divisible_work(work), strategy="exhaustive"
         )
-        greedy = search_partitions(
+        greedy = run_search(
             list(work), 8, self.divisible_work(work), strategy="greedy"
         )
         assert greedy.makespan <= exact.makespan * 1.5
 
     def test_auto_picks_exhaustive_for_small(self):
         work = {"a": 10, "b": 10}
-        result = search_partitions(["a", "b"], 6, self.divisible_work(work))
+        result = run_search(["a", "b"], 6, self.divisible_work(work))
         assert result.strategy == "exhaustive"
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
-            search_partitions(["a"], 4, lambda n, w: 1, strategy="magic")
+            run_search(["a"], 4, lambda n, w: 1, strategy="magic")
 
     def test_no_cores_rejected(self):
         with pytest.raises(ValueError):
-            search_partitions([], 4, lambda n, w: 1)
+            run_search([], 4, lambda n, w: 1)
 
     def test_min_width_larger_than_budget_rejected(self):
         with pytest.raises(ValueError):
-            search_partitions(["a"], 2, lambda n, w: 1, min_width=3)
+            run_search(["a"], 2, lambda n, w: 1, min_width=3)
 
     def test_partitions_evaluated_counted(self):
         work = {"a": 10}
-        result = search_partitions(
+        result = run_search(
             ["a"], 5, self.divisible_work(work), strategy="exhaustive", max_parts=2
         )
         assert result.partitions_evaluated == count_partitions(5, 2)

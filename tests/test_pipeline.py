@@ -148,9 +148,9 @@ class TestStageRegistry:
             name = "architecture"
 
             def run(self, ctx):
-                from repro.core.partition import search_partitions
+                from repro.search import run_search
 
-                ctx.search = search_partitions(
+                ctx.search = run_search(
                     ctx.names,
                     ctx.width_budget,
                     ctx.tables.time_of,

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.partition import search_partitions
 from repro.core.robust import (
     RobustPlan,
     UncertaintyReport,
     evaluate_under_uncertainty,
     robust_search,
 )
+from repro.search import run_search
 
 
 def divisible(work):
@@ -20,7 +20,7 @@ WORK = {"a": 400, "b": 310, "c": 180, "d": 90}
 
 @pytest.fixture
 def nominal_outcome():
-    return search_partitions(list(WORK), 8, divisible(WORK)).outcome
+    return run_search(list(WORK), 8, divisible(WORK)).outcome
 
 
 class TestEvaluate:
@@ -74,14 +74,14 @@ class TestRobustSearch:
 
     def test_zero_epsilon_matches_nominal_search(self):
         robust = robust_search(list(WORK), 8, divisible(WORK), epsilon=0.0)
-        nominal = search_partitions(list(WORK), 8, divisible(WORK))
+        nominal = run_search(list(WORK), 8, divisible(WORK))
         assert robust.nominal_makespan == nominal.makespan
 
     def test_worst_case_no_worse_than_nominal_plan(self):
         """The robust plan's worst case must beat (or tie) the worst
         case of the nominally optimal plan."""
         epsilon = 0.2
-        nominal = search_partitions(list(WORK), 8, divisible(WORK))
+        nominal = run_search(list(WORK), 8, divisible(WORK))
         nominal_worst = evaluate_under_uncertainty(
             list(WORK), nominal.outcome, divisible(WORK), epsilon=epsilon
         ).worst

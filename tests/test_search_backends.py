@@ -189,11 +189,11 @@ class TestResolveSearchSpace:
             resolve_search_space(**kwargs)
 
     def test_annealer_shim_shares_the_clamp(self):
-        """The historical silent max_parts=0 clamp is gone everywhere."""
-        from repro.core.anneal import anneal_search
-
+        """The annealer rejects max_parts=0 like every other strategy."""
         with pytest.raises(ValueError, match="max_parts"):
-            anneal_search(["a", "b"], 8, lambda n, w: 1, max_parts=0)
+            run_search(
+                ["a", "b"], 8, lambda n, w: 1, strategy="anneal", max_parts=0
+            )
 
 
 # ----------------------------------------------------------------------

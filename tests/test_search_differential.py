@@ -1,12 +1,12 @@
 """Differential proof: the ``repro.search`` backends reproduce the
 pre-refactor search.
 
-``tests/_legacy_search.py`` freezes ``search_partitions`` /
-``anneal_search`` exactly as they stood before the backend layer
-existed.  These tests run the refactored stack next to that copy and
-require *bit-identical* :class:`PartitionSearchResult`s (frozen
-dataclass equality: same outcome, same ``partitions_evaluated``, same
-strategy string) and, at the pipeline level, bit-identical
+``tests/_legacy_search.py`` freezes the partition search and the
+annealer exactly as they stood before the backend layer existed.
+These tests run the refactored stack next to that copy and require
+*bit-identical* :class:`PartitionSearchResult`s (frozen dataclass
+equality: same outcome, same ``partitions_evaluated``, same strategy
+string) and, at the pipeline level, bit-identical
 :class:`PlanResult`s on the six benchmark SOCs -- ``cpu_seconds`` and
 the observability ``report`` are the only fields allowed to differ.
 

@@ -44,11 +44,7 @@ from repro.compression.hotpath import (
     symbol_table,
 )
 from repro.compression.selective import slice_costs, slice_costs_reference
-from repro.core.partition import (
-    iter_partitions,
-    partitions_list,
-    search_partitions,
-)
+from repro.core.partition import iter_partitions, partitions_list
 from repro.core.scheduler import (
     TimeTable,
     schedule_cores,
@@ -58,6 +54,7 @@ from repro.core.scheduler import (
 from repro.explore.dse import analysis_for, clear_analysis_cache
 from repro.pipeline import RunConfig, plan
 from repro.pipeline.tables import LookupTables
+from repro.search import run_search
 from repro.soc.industrial import load_design
 from repro.verify.fuzz import random_core, random_soc
 from repro.verify.invariants import verify_plan
@@ -277,9 +274,7 @@ class TestSchedulerDifferential:
             rng = random.Random(60_000 + seed)
             names, time_of = _random_table(rng)
             total = rng.randint(1, 24)
-            fast = search_partitions(
-                names, total, time_of, strategy="exhaustive"
-            )
+            fast = run_search(names, total, time_of, strategy="exhaustive")
             best = None
             for widths in iter_partitions(total, min(len(names), 6), 1):
                 outcome = schedule_cores(names, widths, time_of)
