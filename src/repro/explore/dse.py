@@ -12,7 +12,9 @@ optimizer asks (the paper's steps 1-2):
   ``m`` whose code width is exactly ``w`` (Figures 2 and 3);
 * ``best_compressed_for_tam(W)`` -- the best configuration whose code
   width fits a ``W``-wide TAM (what scheduling uses; monotone in ``W``
-  by construction even though ``tau_c`` itself is non-monotonic).
+  by construction even though ``tau_c`` itself is non-monotonic), read
+  from a running prefix minimum over the code widths;
+  ``best_compressed_row(W)`` is that answer at every width ``1..W``.
 
 Small cores (d695/d2758 class) are analyzed *exactly*: their synthetic
 cubes are materialized and run through the bit-accurate slice-cost
@@ -30,8 +32,10 @@ response flush.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable, Literal
 
@@ -137,6 +141,9 @@ class CoreAnalysis:
         self._uncompressed: dict[int, UncompressedPoint] = {}
         self._compressed: dict[int, CompressedPoint] = {}
         self._best_by_width: dict[int, CompressedPoint | None] = {}
+        # Running minimum of best_for_code_width: entry w is the answer
+        # of best_compressed_for_tam(w); no code fits below MIN_CODE_WIDTH.
+        self._best_prefix: list[CompressedPoint | None] = [None] * MIN_CODE_WIDTH
         self._precomputed_width = 0
         self._symbols: np.ndarray | None = None  # hotpath symbol table
 
@@ -190,6 +197,15 @@ class CoreAnalysis:
             )
             self._uncompressed[tam_width] = point
         return point
+
+    def uncompressed_points(self, widths: Iterable[int]) -> list[UncompressedPoint]:
+        """:meth:`uncompressed_point` of every width, in order.
+
+        Memoized points are read directly, so after :meth:`precompute`
+        this is one call rather than one per width.
+        """
+        points = self._uncompressed
+        return [points.get(w) or self.uncompressed_point(w) for w in widths]
 
     # ------------------------------------------------------------------
     # Compressed side (paper step 2)
@@ -341,26 +357,57 @@ class CoreAnalysis:
 
         Unlike :meth:`best_for_code_width` this is monotone non-improving
         as ``tam_width`` shrinks, because narrower codes remain feasible
-        on wider TAMs (surplus wires idle).
+        on wider TAMs (surplus wires idle).  The answer is read from a
+        running prefix minimum over the code widths (the narrowest wins
+        a tie); a call past the widths covered so far first batches the
+        new code widths through one kernel pass.
         """
-        best: CompressedPoint | None = None
         top = min(tam_width, self.max_code_width)
-        widths = range(MIN_CODE_WIDTH, top + 1)
-        # Batch every uncached width's grid through one kernel pass
-        # before the per-width bookkeeping below hits the memo.
+        if top < MIN_CODE_WIDTH:
+            return None
+        return self._prefix_through(top)[top]
+
+    def _prefix_through(self, top: int) -> list[CompressedPoint | None]:
+        """The prefix-minimum list, extended to cover code width ``top``.
+
+        Threads share analyses (see :func:`analysis_for`), so an
+        extension is built on a copy and published with one assignment:
+        a concurrent reader sees either list, each in step with its
+        widths.  Callers index the list returned, not the attribute.
+        """
+        prefix = self._best_prefix
+        if top < len(prefix):
+            return prefix
+        widths = range(len(prefix), top + 1)
         self._ensure_points(
             m
             for w in widths
             if w not in self._best_by_width
             for m in self.m_grid_for_code_width(w)
         )
+        extended = list(prefix)
+        best = extended[-1]
         for w in widths:
             candidate = self.best_for_code_width(w)
-            if candidate is None:
-                continue
-            if best is None or candidate.test_time < best.test_time:
+            if candidate is not None and (
+                best is None or candidate.test_time < best.test_time
+            ):
                 best = candidate
-        return best
+            extended.append(best)
+        self._best_prefix = extended
+        return extended
+
+    def best_compressed_row(self, max_tam_width: int) -> list[CompressedPoint | None]:
+        """:meth:`best_compressed_for_tam` of every width ``1..max_tam_width``.
+
+        Entry ``w - 1`` is the answer for width ``w``; the whole row
+        costs one prefix extension, made by :meth:`best_compressed_for_tam`
+        so that profiles charge the kernel pass to the public lookup.
+        """
+        top = min(max_tam_width, self.max_code_width)
+        self.best_compressed_for_tam(top)
+        prefix = self._prefix_through(top)  # re-extends after a racing publish
+        return prefix[1 : top + 1] + [prefix[top]] * (max_tam_width - top)
 
     # ------------------------------------------------------------------
     # Scheduling-facing summary
@@ -423,13 +470,17 @@ class CoreAnalysis:
         """Whether every lookup up to ``max_tam_width`` is already cached."""
         return self._precomputed_width >= max_tam_width
 
-    def precompute(self, max_tam_width: int) -> None:
+    def precompute(self, max_tam_width: int, *, compressed: bool = True) -> None:
         """Eagerly evaluate every lookup the optimizer can ask for.
 
         Covers the uncompressed point of every TAM width up to the
         budget and the best-``m`` sweep of every feasible code width --
         exactly the queries :meth:`time_at_tam` and the scheduler issue.
-        Idempotent, and a no-op for widths already covered.
+        Idempotent, and a no-op for widths already covered.  With
+        ``compressed=False`` only the uncompressed points are evaluated
+        (the width is then not marked covered); the lookup tables use
+        this and batch the code widths through
+        :meth:`best_compressed_row` themselves.
         """
         if max_tam_width < 1:
             raise ValueError(f"TAM width must be >= 1, got {max_tam_width}")
@@ -441,6 +492,8 @@ class CoreAnalysis:
             design_wrappers_batch(self.core, range(1, max_tam_width + 1))
         for w in range(1, max_tam_width + 1):
             self.uncompressed_point(w)
+        if not compressed:
+            return
         top = min(max_tam_width, self.max_code_width)
         for w in range(MIN_CODE_WIDTH, top + 1):
             self.best_for_code_width(w)
@@ -610,9 +663,11 @@ def analyze_soc_cores(
     requested (see :func:`repro.parallel.resolve_jobs`).  Freshly
     computed tables are stored back to ``cache`` atomically.
 
-    With ``jobs`` serial and no cache this degrades to the historical
-    lazy behavior: analyses fill in on demand.  Results are bit-identical
-    along every path; only the wall-clock differs.
+    With ``jobs`` serial and no cache the analyses are returned unfilled:
+    :class:`~repro.pipeline.tables.LookupTables` then computes exactly
+    the entries its compression policy reads when it builds its rows.
+    This fork only decides where the kernels run.  Results are
+    bit-identical along every path; only the wall-clock differs.
     """
     analyses = {
         core.name: analysis_for(core, mode=mode, samples=samples, grid=grid)
@@ -692,7 +747,14 @@ def analyze_soc_cores(
 # cores (e.g. ckt-2 appears in System1, System2, System3 and System4).
 # ---------------------------------------------------------------------------
 
-_CACHE: dict[tuple[Core, str, int, int, int | None], CoreAnalysis] = {}
+#: Upper bound on memoized analyses.  Above ``MAX_SYNTHETIC_CORES``
+#: (512), so one plan never evicts its own cores; a long-lived process
+#: planning an open-ended stream of SOCs evicts the least recently used.
+ANALYSIS_CACHE_MAX_ENTRIES = 4096
+
+_CACHE: OrderedDict[tuple[Core, str, int, int, int | None], CoreAnalysis] = (
+    OrderedDict()
+)
 
 
 def analysis_for(
@@ -715,6 +777,12 @@ def analysis_for(
             core, mode=mode, samples=samples, grid=grid, cubes=cubes
         )
         _CACHE[key] = analysis
+        while len(_CACHE) > ANALYSIS_CACHE_MAX_ENTRIES:
+            _CACHE.popitem(last=False)
+    else:
+        # Between the get and here a concurrent call may have evicted it.
+        with contextlib.suppress(KeyError):
+            _CACHE.move_to_end(key)
     return analysis
 
 

@@ -4,12 +4,11 @@ A :class:`RunReport` folds everything a planner looks at after a run
 into one document: stage wall-clock timings from the event stream, the
 metrics snapshot (per-core analysis latency histogram, cache traffic,
 search counters), the state of every cache layer (persistent analysis
-disk cache, wrapper-design LRU, scheduler lookup-table LRU), the
-per-TAM utilization breakdown from :mod:`repro.reporting.profile`, and
-an event-kind census.  The pipeline attaches it to
-``PlanResult.report`` when observability is enabled; the CLI writes it
-with ``--report out.json`` and renders it back with
-``repro-soc report out.json``.
+disk cache, wrapper-design LRU), the per-TAM utilization breakdown
+from :mod:`repro.reporting.profile`, and an event-kind census.  The
+pipeline attaches it to ``PlanResult.report`` when observability is
+enabled; the CLI writes it with ``--report out.json`` and renders it
+back with ``repro-soc report out.json``.
 
 The report is deliberately self-contained plain data: it round-trips
 through JSON (:meth:`RunReport.to_json` / :meth:`RunReport.from_json`)
@@ -26,7 +25,6 @@ from typing import TYPE_CHECKING, Any, Mapping
 if TYPE_CHECKING:
     from repro.obs.context import Observability
     from repro.pipeline.events import EventRecorder
-    from repro.pipeline.tables import LookupTables
 
 #: Bump on any incompatible change to the report layout.
 REPORT_SCHEMA_VERSION = 1
@@ -48,7 +46,7 @@ class RunReport:
     stage_timings: tuple[tuple[str, float], ...] = ()
     #: ``MetricsRegistry.snapshot()`` of the run's registry.
     metrics: Mapping[str, Any] = field(default_factory=dict)
-    #: Per cache layer: wrapper LRU, lookup tables, analysis disk cache.
+    #: Per cache layer: wrapper LRU, analysis disk cache.
     caches: Mapping[str, Any] = field(default_factory=dict)
     #: Per-TAM busy breakdown (see :class:`repro.reporting.profile.TamUtilization`).
     tam_utilization: tuple[Mapping[str, Any], ...] = ()
@@ -135,7 +133,6 @@ def build_run_report(
     architecture: Any,
     recorder: "EventRecorder",
     obs: "Observability",
-    tables: "LookupTables | None" = None,
 ) -> RunReport:
     """Assemble the report of one finished pipeline run.
 
@@ -155,8 +152,6 @@ def build_run_report(
         )
 
     caches: dict[str, Any] = {"wrapper_lru": wrapper_info}
-    if tables is not None:
-        caches["lookup_tables"] = tables.cache_info()
     disk: dict[str, int] = {}
     for event in recorder.events:
         if event.kind == "cache-stats":

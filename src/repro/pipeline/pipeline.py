@@ -174,7 +174,6 @@ class Pipeline:
                     architecture=result.architecture,
                     recorder=recorder,
                     obs=active,
-                    tables=ctx.tables,
                 ),
             )
             active.last_report = result.report

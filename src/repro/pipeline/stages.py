@@ -9,8 +9,9 @@ The paper's heuristic is a four-step flow; each step is a
    parallel/cached pass, for efficiency -- see
    :func:`repro.explore.dse.analyze_soc_cores`);
 2. :class:`DecompressorStage` -- applies the compression policy,
-   wrapping the analyses in scheduling-facing
-   :class:`~repro.pipeline.tables.LookupTables` and fixing the
+   building the scheduling-facing
+   :class:`~repro.pipeline.tables.LookupTables` (one row per core over
+   every width of the budget, under a ``tables`` span) and fixing the
    decompressor placement;
 3. an **architecture** stage -- chooses the TAM partition (and, for
    the constrained/per-TAM variants, the assignment): the paper's
@@ -29,6 +30,7 @@ flow.
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Any, Callable
 
 from repro import obs
@@ -38,7 +40,7 @@ from repro.core.architecture import (
     Tam,
     TestArchitecture,
 )
-from repro.core.partition import PartitionSearchResult, iter_partitions
+from repro.core.partition import PartitionSearchResult, partitions_list
 from repro.core.scheduler import build_architecture, schedule_cores
 from repro.search import resolve_search_space, run_search
 from repro.explore.dse import CoreAnalysis
@@ -138,7 +140,11 @@ class WrapperStage(Stage):
 
 
 class DecompressorStage(Stage):
-    """Fix the compression policy, placement, and lookup tables."""
+    """Fix the compression policy, placement, and lookup tables.
+
+    The tables are built here, eagerly, so every wrapper design and
+    codeword kernel the later stages read is charged to this stage.
+    """
 
     name = "decompressor"
 
@@ -151,7 +157,12 @@ class DecompressorStage(Stage):
         else:
             ctx.placement = DecompressorPlacement.PER_CORE
         if compression != "per-tam":
-            ctx.tables = LookupTables(ctx.analyses, compression)
+            with obs.span(
+                "tables", cores=len(ctx.analyses), width_budget=ctx.width_budget
+            ):
+                ctx.tables = LookupTables(
+                    ctx.analyses, compression, ctx.width_budget
+                )
         ctx.events.emit(
             "tables-ready",
             self.name,
@@ -262,7 +273,7 @@ class ConstrainedArchitectureStage(Stage):
         best: ConstrainedSchedule | None = None
         evaluated = 0
         with obs.span("search", strategy="exhaustive") as attrs:
-            for widths in iter_partitions(
+            for widths in partitions_list(
                 space.total_width, space.max_parts, space.min_width
             ):
                 schedule = schedule_constrained(
@@ -308,6 +319,9 @@ class PerTamArchitectureStage(Stage):
             min_width=config.min_code_width,
         )
 
+        # Every partition asks again about the same (core, width) and
+        # (core, m) pairs; each is answered once per run.
+        @functools.cache
         def code_width_time(name: str, w: int) -> int:
             analysis = analyses[name]
             best = analysis.best_for_code_width(w) or analysis.best_compressed_for_tam(w)
@@ -315,9 +329,18 @@ class PerTamArchitectureStage(Stage):
                 return analysis.uncompressed_point(w).test_time
             return best.test_time
 
+        @functools.cache
+        def favorite_m(name: str, w: int) -> int | None:
+            best = analyses[name].best_for_code_width(w)
+            return None if best is None else best.m
+
+        @functools.cache
+        def shared_m_time(name: str, m: int) -> int:
+            return _shared_m_time(analyses[name], m)
+
         best_arch: tuple[int, tuple[int, ...], list[int], list[int]] | None = None
         evaluated = 0
-        for widths in iter_partitions(
+        for widths in partitions_list(
             space.total_width, space.max_parts, space.min_width
         ):
             evaluated += 1
@@ -334,11 +357,8 @@ class PerTamArchitectureStage(Stage):
                     shared_ms.append(1)
                     loads.append(0)
                     continue
-                candidates = set()
-                for name in members:
-                    best = analyses[name].best_for_code_width(w)
-                    if best is not None:
-                        candidates.add(best.m)
+                favorites = (favorite_m(name, w) for name in members)
+                candidates = {m for m in favorites if m is not None}
                 if not candidates:
                     candidates = {
                         min(
@@ -348,9 +368,7 @@ class PerTamArchitectureStage(Stage):
                     }
                 best_m, best_load = None, None
                 for m in sorted(candidates):
-                    load = sum(
-                        _shared_m_time(analyses[name], m) for name in members
-                    )
+                    load = sum(shared_m_time(name, m) for name in members)
                     if best_load is None or load < best_load:
                         best_m, best_load = m, load
                 assert best_m is not None and best_load is not None

@@ -1,135 +1,133 @@
 """Scheduling-facing lookup tables over the per-core analyses.
 
 :class:`LookupTables` backs the scheduler's ``time_of`` / ``config_of``
-callbacks with the per-core design-space tables, applying the
-compression policy (none / per-core / auto bypass / technique select)
-to pick each core's configuration at a given TAM width.
+callbacks.  It is built once per plan, in the decompressor stage: for
+every core it applies the compression policy (none / per-core / auto
+bypass / technique select) at each TAM width ``1..W`` of the budget
+and keeps the pick -- the analysis point or technique choice -- in one
+dense row.  The architecture and schedule stages then only read the
+rows, so the wrapper and decompressor design of the paper's steps 1-2
+is paid -- and timed -- before the search starts.  ``time_of`` reads
+the pick's test time; ``config_of`` wraps the pick in a
+:class:`~repro.core.architecture.CoreConfig` on its first read, because
+a plan reads few of the cores x W configurations.
 
-Both memo layers -- the ``(core, width) -> time`` lookup and the
-per-core :class:`~repro.explore.selection.TechniqueSelector` instances
--- are bounded LRUs (the pattern
-:mod:`repro.wrapper.design` uses for wrapper designs): a long-lived
-service planning an open-ended stream of SOCs in one process must
-evict, not grow without limit.
+Each row costs one batched kernel pass per core over every code width
+up to ``min(W, max_code_width)``
+(:meth:`~repro.explore.dse.CoreAnalysis.best_compressed_row`).  The
+uncompressed wrapper design is evaluated only at the widths the
+policy reads: under ``per-core`` only where no code fits (fewer than
+three wires); under ``none``, ``auto`` and ``select`` at every width,
+in one batched BFD pass.  A table holds cores x W entries, so it is
+bounded by construction and needs no eviction.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TypeAlias
 
 from repro.core.architecture import CoreConfig
-from repro.explore.dse import CoreAnalysis
+from repro.explore.dse import CompressedPoint, CoreAnalysis, UncompressedPoint
+from repro.explore.selection import TechniqueChoice, TechniqueSelector
 
-if TYPE_CHECKING:
-    from repro.explore.selection import TechniqueSelector
-
-#: Upper bound on memoized (core, width) -> test-time entries.
-TIME_CACHE_MAX_ENTRIES = 65536
-
-#: Upper bound on retained per-core technique selectors.
-SELECTOR_CACHE_MAX_ENTRIES = 4096
+#: What a row holds at one width: the point or choice the policy picked.
+Pick: TypeAlias = "CompressedPoint | UncompressedPoint | TechniqueChoice"
 
 
 class LookupTables:
-    """Per-SOC time/volume/config lookups backing the scheduler."""
-
-    #: Instance-overridable bounds (tests shrink them to force eviction).
-    time_cache_max_entries = TIME_CACHE_MAX_ENTRIES
-    selector_cache_max_entries = SELECTOR_CACHE_MAX_ENTRIES
+    """Per-SOC time/volume/config rows backing the scheduler."""
 
     def __init__(
-        self, analyses: dict[str, CoreAnalysis], compression: str
+        self,
+        analyses: dict[str, CoreAnalysis],
+        compression: str,
+        width_budget: int,
     ) -> None:
         self.compression = compression
-        self.analyses = analyses
-        self._time_cache: OrderedDict[tuple[str, int], int] = OrderedDict()
-        self._selectors: "OrderedDict[str, TechniqueSelector]" = OrderedDict()
-        self._counters = {"hits": 0, "misses": 0, "evictions": 0}
+        self.width_budget = width_budget
+        self._rows = {name: self._row(analysis) for name, analysis in analyses.items()}
+        self._useful = {
+            name: analysis.core.max_useful_wrapper_chains
+            for name, analysis in analyses.items()
+        }
+        self._configs: dict[str, list[CoreConfig | None]] = {
+            name: [None] * width_budget for name in analyses
+        }
 
     # ------------------------------------------------------------------
 
-    def _selector_for(self, name: str) -> "TechniqueSelector":
-        from repro.explore.selection import TechniqueSelector
-
-        selector = self._selectors.get(name)
-        if selector is not None:
-            self._selectors.move_to_end(name)
-            return selector
-        selector = TechniqueSelector(self.analyses[name])
-        self._selectors[name] = selector
-        while len(self._selectors) > self.selector_cache_max_entries:
-            self._selectors.popitem(last=False)
-            self._counters["evictions"] += 1
-        return selector
-
-    def _pick(self, name: str, width: int) -> CoreConfig:
-        analysis = self.analyses[name]
+    def _row(self, analysis: CoreAnalysis) -> list[Pick]:
+        """The policy's pick at every width, entry ``w - 1``."""
+        budget = self.width_budget
+        widths = range(1, budget + 1)
+        if self.compression == "per-core":
+            # A code fits from three wires up; below that the wrapper
+            # sits straight on the TAM.
+            bests = analysis.best_compressed_row(budget)
+            # A code that fits w wires fits any wider TAM, so the widths
+            # without one are a prefix of the row.
+            narrow = bests.count(None)
+            return analysis.uncompressed_points(range(1, narrow + 1)) + bests[narrow:]
+        # The other policies read the uncompressed point at every width:
+        # one batched BFD pass designs them all.
+        analysis.precompute(budget, compressed=False)
+        plains = analysis.uncompressed_points(widths)
+        if self.compression == "none":
+            return plains
         if self.compression == "select":
-            selector = self._selector_for(name)
-            choice = selector.select(width)
+            analysis.best_compressed_for_tam(budget)  # one kernel pass
+            selector = TechniqueSelector(analysis)
+            return [selector.select(width) for width in widths]
+        return [
+            best if best is not None and best.test_time < plain.test_time else plain
+            for best, plain in zip(analysis.best_compressed_row(budget), plains)
+        ]
+
+    def _config(self, name: str, pick: Pick) -> CoreConfig:
+        if isinstance(pick, TechniqueChoice):
             return CoreConfig(
                 core_name=name,
-                uses_compression=choice.technique != "none",
-                wrapper_chains=choice.wrapper_chains,
-                code_width=choice.code_width,
-                test_time=choice.test_time,
-                volume=choice.volume,
-                technique=choice.technique,
+                uses_compression=pick.technique != "none",
+                wrapper_chains=pick.wrapper_chains,
+                code_width=pick.code_width,
+                test_time=pick.test_time,
+                volume=pick.volume,
+                technique=pick.technique,
             )
-        plain = analysis.uncompressed_point(width)
-        if self.compression == "none":
-            best = None
-        else:
-            best = analysis.best_compressed_for_tam(width)
-        use_compressed = best is not None and (
-            self.compression == "per-core" or best.test_time < plain.test_time
-        )
-        if use_compressed:
-            assert best is not None
+        if isinstance(pick, CompressedPoint):
             return CoreConfig(
                 core_name=name,
                 uses_compression=True,
-                wrapper_chains=best.m,
-                code_width=best.code_width,
-                test_time=best.test_time,
-                volume=best.volume,
+                wrapper_chains=pick.m,
+                code_width=pick.code_width,
+                test_time=pick.test_time,
+                volume=pick.volume,
             )
         return CoreConfig(
             core_name=name,
             uses_compression=False,
-            wrapper_chains=min(width, analysis.core.max_useful_wrapper_chains),
+            wrapper_chains=min(pick.tam_width, self._useful[name]),
             code_width=None,
-            test_time=plain.test_time,
-            volume=plain.volume,
+            test_time=pick.test_time,
+            volume=pick.volume,
         )
 
     # ------------------------------------------------------------------
 
     def time_of(self, name: str, width: int) -> int:
-        key = (name, width)
-        value = self._time_cache.get(key)
-        if value is not None:
-            self._time_cache.move_to_end(key)
-            self._counters["hits"] += 1
-            return value
-        value = self._pick(name, width).test_time
-        self._counters["misses"] += 1
-        self._time_cache[key] = value
-        while len(self._time_cache) > self.time_cache_max_entries:
-            self._time_cache.popitem(last=False)
-            self._counters["evictions"] += 1
-        return value
+        return self._rows[name][self._index(width)].test_time
 
     def config_of(self, name: str, width: int) -> CoreConfig:
-        return self._pick(name, width)
+        index = self._index(width)
+        configs = self._configs[name]
+        config = configs[index]
+        if config is None:
+            config = configs[index] = self._config(name, self._rows[name][index])
+        return config
 
-    def cache_info(self) -> dict[str, int]:
-        """Sizes and traffic counters of the bounded memo layers."""
-        return {
-            "time_entries": len(self._time_cache),
-            "time_max_entries": self.time_cache_max_entries,
-            "selector_entries": len(self._selectors),
-            "selector_max_entries": self.selector_cache_max_entries,
-            **self._counters,
-        }
+    def _index(self, width: int) -> int:
+        if not 1 <= width <= self.width_budget:
+            raise ValueError(
+                f"TAM width {width} outside the table's 1..{self.width_budget}"
+            )
+        return width - 1

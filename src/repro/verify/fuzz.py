@@ -174,6 +174,7 @@ def fuzz_one(seed: int) -> list[Finding]:
     tables = LookupTables(
         {core.name: analysis_for(core, mode="exact") for core in soc.cores},
         "per-core",
+        width,
     )
     single = schedule_cores(names, (width,), tables.time_of)
     exhaustive = run_search(names, width, tables.time_of, strategy="exhaustive")

@@ -286,17 +286,60 @@ def _design_wrappers_missing(
     missing: list[int],
     out: dict[int, WrapperDesign],
 ) -> None:
+    # BFD and the cell water-fill both fill the lowest-numbered empty
+    # chain first, so every chain past the useful count stays empty: a
+    # surplus count's design is the useful count's, padded with empty
+    # chains.  Only counts up to the useful one run the BFD.
+    useful = core.max_useful_wrapper_chains
+    direct = [m for m in missing if m <= useful]
+    surplus = [m for m in missing if m > useful]
+    base = out.get(useful) or _WRAPPER_CACHE.get((core_key, useful))
+    if surplus and base is None and useful not in direct:
+        direct.append(useful)  # still ascending: every direct m <= useful
+    designs = _bfd_designs(core, direct) if direct else {}
+    for m in surplus:
+        base = base or designs[useful]
+        designs[m] = _padded(base, m)
+    for m, design in designs.items():
+        _WRAPPER_CACHE_COUNTERS["misses"] += 1
+        obs.inc("wrapper.designs_computed")
+        _WRAPPER_CACHE[(core_key, m)] = design
+        out[m] = design
+    while len(_WRAPPER_CACHE) > WRAPPER_CACHE_MAX_ENTRIES:
+        _WRAPPER_CACHE.popitem(last=False)
+        _WRAPPER_CACHE_COUNTERS["evictions"] += 1
+
+
+def _padded(base: WrapperDesign, m: int) -> WrapperDesign:
+    """``base`` with empty wrapper chains appended up to ``m`` chains."""
+    pad = m - base.num_chains
+    design = WrapperDesign(
+        core=base.core,
+        chains_scan=base.chains_scan + ((),) * pad,
+        chains_inputs=base.chains_inputs + (0,) * pad,
+        chains_outputs=base.chains_outputs + (0,) * pad,
+    )
+    # Empty chains change neither scan maximum.  Seeding both cached
+    # values spares an O(m) pass over the chains, most of the cost of
+    # a wide uncompressed point.
+    vars(design)["scan_in_max"] = base.scan_in_max
+    vars(design)["scan_out_max"] = base.scan_out_max
+    return design
+
+
+def _bfd_designs(core: Core, ms: list[int]) -> dict[int, WrapperDesign]:
+    """BFD designs for the ascending chain counts ``ms``, vectorized."""
     lengths = core.scan_chain_lengths
     order = sorted(range(len(lengths)), key=lambda i: lengths[i], reverse=True)
-    num_ms = len(missing)
-    m_max = missing[-1]
+    num_ms = len(ms)
+    m_max = ms[-1]
     # Chain counts beyond each candidate's m are fenced with a sentinel
     # load so argmin never assigns to them.  The heap variant resolves
     # load ties to the lowest chain id; np.argmin picks the first
     # minimum, which is the same tie-break.
     sentinel = np.int64(1) << 62
     loads = np.zeros((num_ms, m_max), dtype=np.int64)
-    for i, m in enumerate(missing):
+    for i, m in enumerate(ms):
         loads[i, m:] = sentinel
     picks = np.empty((len(order), num_ms), dtype=np.int64)
     rows = np.arange(num_ms)
@@ -306,7 +349,8 @@ def _design_wrappers_missing(
         loads[rows, h] += lengths[chain_index]
 
     picks_list = picks.tolist()
-    for i, m in enumerate(missing):
+    designs: dict[int, WrapperDesign] = {}
+    for i, m in enumerate(ms):
         assignment: list[list[int]] = [[] for _ in range(m)]
         for t, chain_index in enumerate(order):
             assignment[picks_list[t][i]].append(chain_index)
@@ -318,19 +362,13 @@ def _design_wrappers_missing(
         outputs = _distribute_cells(
             scan_load, m, core.wrapper_output_cells, order=chain_order
         )
-        design = WrapperDesign(
+        designs[m] = WrapperDesign(
             core=core,
             chains_scan=tuple(tuple(chains) for chains in assignment),
             chains_inputs=tuple(inputs),
             chains_outputs=tuple(outputs),
         )
-        _WRAPPER_CACHE_COUNTERS["misses"] += 1
-        obs.inc("wrapper.designs_computed")
-        _WRAPPER_CACHE[(core_key, m)] = design
-        out[m] = design
-    while len(_WRAPPER_CACHE) > WRAPPER_CACHE_MAX_ENTRIES:
-        _WRAPPER_CACHE.popitem(last=False)
-        _WRAPPER_CACHE_COUNTERS["evictions"] += 1
+    return designs
 
 
 def wrapper_cache_info() -> dict[str, int]:

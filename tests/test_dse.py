@@ -1,5 +1,10 @@
 """Unit tests for the per-core design-space exploration layer."""
 
+import sys
+import threading
+import time
+from collections import OrderedDict
+
 import pytest
 
 from repro.compression.cubes import generate_cubes
@@ -55,6 +60,17 @@ class TestUncompressedPoints:
     def test_cached(self, small_core):
         analysis = CoreAnalysis(small_core)
         assert analysis.uncompressed_point(4) is analysis.uncompressed_point(4)
+
+    def test_uncompressed_only_precompute(self, small_core):
+        analysis = CoreAnalysis(small_core)
+        analysis.precompute(12, compressed=False)
+        assert analysis.uncompressed_points(range(1, 13)) == [
+            CoreAnalysis(small_core).uncompressed_point(w) for w in range(1, 13)
+        ]
+        assert not analysis._compressed
+        assert not analysis.is_complete_for(12)
+        analysis.precompute(12)
+        assert analysis.is_complete_for(12)
 
 
 class TestCompressedPoints:
@@ -147,6 +163,62 @@ class TestBestLookups:
         analysis = CoreAnalysis(small_core)
         assert analysis.best_compressed_for_tam(2) is None
 
+    def test_best_for_tam_is_prefix_minimum(self, sparse_core):
+        analysis = CoreAnalysis(sparse_core)
+        for width in (9, 4, analysis.max_code_width + 5, 1, 12):
+            expected = None
+            for w in range(3, min(width, analysis.max_code_width) + 1):
+                candidate = analysis.best_for_code_width(w)
+                if expected is None or candidate.test_time < expected.test_time:
+                    expected = candidate
+            assert analysis.best_compressed_for_tam(width) == expected
+
+    def test_best_compressed_row(self, sparse_core):
+        analysis = CoreAnalysis(sparse_core)
+        width = analysis.max_code_width + 4
+        row = analysis.best_compressed_row(width)
+        assert len(row) == width
+        for w, best in enumerate(row, start=1):
+            assert best == CoreAnalysis(sparse_core).best_compressed_for_tam(w)
+
+    def test_concurrent_extensions_keep_the_prefix_in_step(
+        self, sparse_core, monkeypatch
+    ):
+        # Threads extend the prefix at once; the slowed kernel pass makes
+        # them all read the same starting length.
+        analysis = CoreAnalysis(sparse_core)
+        reference = CoreAnalysis(sparse_core)
+        ensure = CoreAnalysis._ensure_points
+
+        def slow_ensure(self, m_values):
+            ensure(self, list(m_values))
+            time.sleep(0.02)
+
+        monkeypatch.setattr(CoreAnalysis, "_ensure_points", slow_ensure)
+        top = analysis.max_code_width
+        threads = [
+            threading.Thread(target=analysis.best_compressed_row, args=(w,))
+            for w in (top - 3, top - 2, top - 1, top, top + 2, top - 2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        prefix = analysis._best_prefix
+        assert len(prefix) >= top - 2
+        for w, best in enumerate(prefix):
+            assert best == reference.best_compressed_for_tam(w)
+        for w in range(1, top + 3):
+            assert analysis.best_compressed_for_tam(w) == (
+                reference.best_compressed_for_tam(w)
+            )
+
     def test_time_at_tam_fallback_to_uncompressed(self, small_core):
         analysis = CoreAnalysis(small_core)
         assert (
@@ -208,3 +280,29 @@ class TestAnalysisCache:
         assert analysis_for(small_core, grid=8) is not analysis_for(
             small_core, grid=16
         )
+
+    def test_bounded_least_recently_used(self, small_core, monkeypatch):
+        from repro.explore import dse
+
+        monkeypatch.setattr(dse, "ANALYSIS_CACHE_MAX_ENTRIES", 3)
+        first = analysis_for(small_core, grid=2)
+        analysis_for(small_core, grid=3)
+        analysis_for(small_core, grid=4)
+        assert analysis_for(small_core, grid=2) is first  # refreshed
+        analysis_for(small_core, grid=5)  # evicts grid=3, the oldest
+        analysis_for(small_core, grid=6)  # evicts grid=4
+        assert len(dse._CACHE) == 3
+        assert [key[3] for key in dse._CACHE] == [2, 5, 6]
+        assert analysis_for(small_core, grid=2) is first
+
+    def test_hit_evicted_by_a_concurrent_call(self, small_core, monkeypatch):
+        from repro.explore import dse
+
+        class EvictedBeforeRefresh(OrderedDict):
+            def move_to_end(self, key, last=True):
+                del self[key]  # another thread's eviction got there first
+                super().move_to_end(key, last)
+
+        monkeypatch.setattr(dse, "_CACHE", EvictedBeforeRefresh())
+        first = analysis_for(small_core)
+        assert analysis_for(small_core) is first

@@ -88,7 +88,6 @@ class TestReportAttachment:
         result, _ = observed
         caches = result.report.caches
         assert {"hits", "misses", "entries"} <= set(caches["wrapper_lru"])
-        assert {"hits", "misses"} <= set(caches["lookup_tables"])
 
     def test_tam_utilization_rows(self, observed):
         result, _ = observed

@@ -208,60 +208,142 @@ class TestRobustStage:
 
 
 # ---------------------------------------------------------------------------
-# LookupTables: bounded LRU memo layers (satellite 1)
+# LookupTables: one dense row per core, built in the decompressor stage
 # ---------------------------------------------------------------------------
 
 
-class TestLookupTablesBounds:
-    def _tables(self, soc, compression="auto"):
-        config = RunConfig(compression=compression)
-        analyses = config.analyses(soc.cores, max_tam_width=8)
-        return LookupTables(analyses, compression)
+def _reference_best_for_tam(analysis, width):
+    """Rescan every code width that fits: the prefix minimum's reference."""
+    best = None
+    for w in range(3, min(width, analysis.max_code_width) + 1):
+        candidate = analysis.best_for_code_width(w)
+        if candidate is not None and (
+            best is None or candidate.test_time < best.test_time
+        ):
+            best = candidate
+    return best
 
-    def test_time_cache_is_bounded(self, tiny_soc):
-        tables = self._tables(tiny_soc)
-        tables.time_cache_max_entries = 4
-        for width in range(1, 9):
-            for name in tables.analyses:
-                tables.time_of(name, width)
-        info = tables.cache_info()
-        assert info["time_entries"] <= 4
-        assert info["evictions"] > 0
 
-    def test_eviction_is_lru_ordered(self, tiny_soc):
-        tables = self._tables(tiny_soc)
-        tables.time_cache_max_entries = 2
-        names = list(tables.analyses)
-        tables.time_of(names[0], 1)
-        tables.time_of(names[0], 2)
-        tables.time_of(names[0], 1)  # refresh (name, 1)
-        tables.time_of(names[0], 3)  # evicts (name, 2), not (name, 1)
-        assert (names[0], 1) in tables._time_cache
-        assert (names[0], 2) not in tables._time_cache
+def _reference_pick(analysis, selector, compression, width):
+    """The per-lookup policy rule the dense rows must reproduce."""
+    from repro.core.architecture import CoreConfig
 
-    def test_selector_cache_is_bounded(self, tiny_soc):
-        tables = self._tables(tiny_soc, compression="select")
-        tables.selector_cache_max_entries = 1
-        for name in tables.analyses:
-            tables.config_of(name, 4)
-        info = tables.cache_info()
-        assert info["selector_entries"] <= 1
+    name = analysis.core.name
+    if compression == "select":
+        choice = selector.select(width)
+        return CoreConfig(
+            core_name=name,
+            uses_compression=choice.technique != "none",
+            wrapper_chains=choice.wrapper_chains,
+            code_width=choice.code_width,
+            test_time=choice.test_time,
+            volume=choice.volume,
+            technique=choice.technique,
+        )
+    plain = analysis.uncompressed_point(width)
+    best = None if compression == "none" else _reference_best_for_tam(analysis, width)
+    if best is not None and (
+        compression == "per-core" or best.test_time < plain.test_time
+    ):
+        return CoreConfig(
+            core_name=name,
+            uses_compression=True,
+            wrapper_chains=best.m,
+            code_width=best.code_width,
+            test_time=best.test_time,
+            volume=best.volume,
+        )
+    return CoreConfig(
+        core_name=name,
+        uses_compression=False,
+        wrapper_chains=min(width, analysis.core.max_useful_wrapper_chains),
+        code_width=None,
+        test_time=plain.test_time,
+        volume=plain.volume,
+    )
 
-    def test_eviction_does_not_change_answers(self, tiny_soc):
-        unbounded = self._tables(tiny_soc)
-        bounded = self._tables(tiny_soc)
-        bounded.time_cache_max_entries = 1
-        for width in (1, 3, 5, 3, 1):
-            for name in unbounded.analyses:
-                assert bounded.time_of(name, width) == unbounded.time_of(
-                    name, width
-                )
 
-    def test_hit_and_miss_counters(self, tiny_soc):
-        tables = self._tables(tiny_soc)
-        name = next(iter(tables.analyses))
-        tables.time_of(name, 4)
-        tables.time_of(name, 4)
-        info = tables.cache_info()
-        assert info["misses"] >= 1
-        assert info["hits"] >= 1
+def _tables(soc, compression, width):
+    # Serial and uncached whatever REPRO_JOBS / REPRO_CACHE_DIR say, so
+    # the tables, not precompute, fill the analyses.
+    config = RunConfig(use_cache=False, jobs=1)
+    analyses = config.analyses(soc.cores, max_tam_width=width)
+    return LookupTables(analyses, compression, width)
+
+
+class TestLookupTablesRows:
+    @pytest.mark.parametrize("compression", ["per-core", "none", "auto", "select"])
+    @pytest.mark.parametrize("design", ["tiny", "d695"])
+    def test_rows_match_reference_rule(self, compression, design, tiny_soc):
+        from repro.explore.dse import CoreAnalysis
+        from repro.explore.selection import TechniqueSelector
+        from repro.soc.industrial import load_design
+
+        soc = tiny_soc if design == "tiny" else load_design(design)
+        tables = _tables(soc, compression, 16)
+        for core in soc.cores:
+            # A fresh analysis shares no memo with the tables' one.
+            reference = CoreAnalysis(core)
+            selector = TechniqueSelector(reference)
+            for width in range(1, 17):
+                expected = _reference_pick(reference, selector, compression, width)
+                config = tables.config_of(core.name, width)
+                assert config == expected
+                assert tables.config_of(core.name, width) is config
+                assert tables.time_of(core.name, width) == expected.test_time
+
+    @pytest.mark.parametrize("width", [0, 9])
+    def test_widths_outside_the_budget_raise(self, tiny_soc, width):
+        tables = _tables(tiny_soc, "per-core", 8)
+        name = tiny_soc.cores[0].name
+        with pytest.raises(ValueError):
+            tables.time_of(name, width)
+        with pytest.raises(ValueError):
+            tables.config_of(name, width)
+
+    def test_one_kernel_pass_per_core(self, tiny_soc, monkeypatch):
+        from repro.explore import dse
+
+        calls = []
+        kernel = dse.exact_codeword_totals
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(dse, "exact_codeword_totals", counting)
+        monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)  # the batch path
+        _tables(tiny_soc, "per-core", 16)
+        assert len(calls) == len(tiny_soc.cores)
+
+    @pytest.mark.parametrize("flow", ["standard", "packing", "power", "robust"])
+    def test_search_and_schedule_read_only_the_rows(
+        self, tiny_soc, flow, monkeypatch
+    ):
+        from repro.explore.dse import CoreAnalysis
+        from repro.pipeline.events import EventRecorder
+        from repro.pipeline.stages import PlanContext
+        from repro.power.model import power_table
+
+        config = RunConfig(use_cache=False)
+        if flow == "packing":
+            config = config.replace(architecture="packing", schedule="packing")
+        elif flow == "power":
+            budget = 0.6 * sum(power_table(tiny_soc, compression=True).values())
+            config = config.replace(power_budget=budget)
+        stages = list(pipeline_for(config).stages)
+        if flow == "robust":
+            stages[2] = stage_factory("architecture", "robust")()
+        ctx = PlanContext(tiny_soc, 12, config, EventRecorder())
+        WrapperStage().run(ctx)
+        DecompressorStage().run(ctx)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("analysis queried after the table stage")
+
+        monkeypatch.setattr(CoreAnalysis, "_ensure_points", forbidden)
+        monkeypatch.setattr(CoreAnalysis, "uncompressed_point", forbidden)
+        monkeypatch.setattr(CoreAnalysis, "uncompressed_points", forbidden)
+        for stage in stages[2:]:
+            stage.run(ctx)
+        assert ctx.architecture is not None

@@ -200,10 +200,10 @@ class TestWrapperBatchDifferential:
         batch = design_wrappers_batch(core, ms)
         try:
             for m in ms:
-                assert batch[m] == _design_wrapper_uncached(core, m), (
-                    core.name,
-                    m,
-                )
+                expected = _design_wrapper_uncached(core, m)
+                assert batch[m] == expected, (core.name, m)
+                assert batch[m].scan_in_max == expected.scan_in_max
+                assert batch[m].scan_out_max == expected.scan_out_max
         finally:
             clear_wrapper_design_cache()
 
@@ -217,6 +217,30 @@ class TestWrapperBatchDifferential:
             rng = random.Random(30_000 + seed)
             core = random_core(rng, seed)
             ms = sorted({rng.randint(1, 14) for _ in range(5)})
+            self._check_core(core, ms)
+
+    @pytest.mark.parametrize("design_name", ["d695", "synth20"])
+    def test_surplus_chain_counts(self, design_name):
+        """Counts past the useful one pad its design with empty chains."""
+        for core in load_design(design_name).cores:
+            useful = core.max_useful_wrapper_chains
+            self._check_core(core, range(1, useful + 20))
+            # Surplus counts alone: the padded base is designed, or read
+            # from the memo when it is already there.
+            self._check_core(core, [useful + 1, useful + 7])
+            clear_wrapper_design_cache()
+            base = design_wrappers_batch(core, [useful])[useful]
+            batch = design_wrappers_batch(core, [useful + 3])
+            assert batch[useful + 3] == _design_wrapper_uncached(core, useful + 3)
+            assert batch[useful + 3].chains_scan[:useful] == base.chains_scan
+            clear_wrapper_design_cache()
+
+    def test_surplus_chain_counts_on_fuzz_cores(self):
+        for seed in range(FUZZ_SEEDS):
+            rng = random.Random(31_000 + seed)
+            core = random_core(rng, seed)
+            useful = core.max_useful_wrapper_chains
+            ms = sorted({rng.randint(1, useful + 12) for _ in range(6)})
             self._check_core(core, ms)
 
 
@@ -301,6 +325,7 @@ class TestSchedulerDifferential:
                 for core in soc.cores
             },
             "per-core",
+            12,
         )
         names = [core.name for core in soc.cores]
         time_of = tables.time_of
