@@ -10,7 +10,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.core.optimal import optimal_schedule
-from repro.core.partition import iter_partitions
+from repro.core.partition import partitions_list
 from repro.core.scheduler import schedule_cores
 from repro.explore.dse import analysis_for
 from repro.reporting.tables import format_table
@@ -30,7 +30,7 @@ def _d695_instance(width: int):
     exact = optimal_schedule(names, width, time_of, max_parts=3)
     heuristic = min(
         schedule_cores(names, widths, time_of).makespan
-        for widths in iter_partitions(width, 3)
+        for widths in partitions_list(width, 3)
     )
     return heuristic, exact.makespan, exact.nodes_explored
 
@@ -48,7 +48,7 @@ def _random_instances(count=6, width=8):
         exact = optimal_schedule(names, width, time_of, max_parts=3)
         heuristic = min(
             schedule_cores(names, widths, time_of).makespan
-            for widths in iter_partitions(width, 3)
+            for widths in partitions_list(width, 3)
         )
         gaps.append(heuristic / exact.makespan)
     return gaps

@@ -18,7 +18,7 @@ Four short studies on the same three-core workload:
 
 from repro.core.multifrequency import optimize_multifrequency
 from repro.core.optimal import optimal_schedule
-from repro.core.partition import iter_partitions
+from repro.core.partition import partitions_list
 from repro.core.preemption import schedule_preemptive
 from repro.core.robust import evaluate_under_uncertainty, robust_search
 from repro.core.scheduler import schedule_cores
@@ -120,7 +120,7 @@ def main() -> None:
     exact = optimal_schedule(names, 8, time_of, max_parts=3)
     heuristic = min(
         schedule_cores(names, widths, time_of).makespan
-        for widths in iter_partitions(8, 3)
+        for widths in partitions_list(8, 3)
     )
     print(
         f"   heuristic {heuristic:,} vs optimal {exact.makespan:,} "

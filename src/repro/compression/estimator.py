@@ -201,8 +201,8 @@ def estimate_codewords_batch(
 
     Bit-identical to calling :func:`estimate_codewords` per design (each
     design replays its own ``(core.seed, m, samples)`` random stream),
-    but the group-cost accounting of all designs is fused: one bincount
-    scatter and one clamped prefix sum over the concatenated group slots
+    but the group-cost accounting of all designs is fused: one count of
+    the occupied group slots and one clamped prefix sum over them
     replace the per-design bincount/where/sum chain.
     """
     if samples < 1:
@@ -216,42 +216,43 @@ def _estimate_codewords_batch(
 ) -> list[SliceStatistics]:
     sample_ids = np.arange(samples)
     id_chunks: list[np.ndarray] = []
-    spans: list[tuple[int, int]] = []  # (flat base, flat length) per design
+    starts: list[int] = []  # flat group-slot range [start, end) per design
+    ends: list[int] = []
     base = 0
     for design in designs:
-        si = design.scan_in_max
-        if si == 0:
-            spans.append((base, 0))
-            continue
-        targets, group_ids, num_groups = _sampled_target_groups(
-            core, design, samples
-        )
-        slice_ids = np.repeat(sample_ids, targets)
-        id_chunks.append(base + slice_ids * num_groups + group_ids)
-        length = samples * num_groups
-        spans.append((base, length))
-        base += length
+        starts.append(base)
+        if design.scan_in_max > 0:
+            targets, group_ids, num_groups = _sampled_target_groups(
+                core, design, samples
+            )
+            slice_ids = np.repeat(sample_ids, targets)
+            id_chunks.append(base + slice_ids * num_groups + group_ids)
+            base += samples * num_groups
+        ends.append(base)
 
-    if id_chunks:
-        flat_ids = np.concatenate(id_chunks)
-        per_group = np.bincount(flat_ids, minlength=base)
-        # Same group-copy clamp as estimate_slice_costs; the prefix sum
-        # turns every design's total into two boundary lookups.
-        running = np.concatenate(
-            ([0], np.cumsum(np.minimum(per_group, 2), dtype=np.int64))
-        )
-    else:
-        running = np.zeros(1, dtype=np.int64)
+    # Only the group slots that drew a target bit cost anything, and the
+    # bits are few next to the samples x groups slots of a whole batch:
+    # count the occupied slots (sorted) rather than scatter into a dense
+    # array.  Same group-copy clamp as estimate_slice_costs; the prefix
+    # sum turns every design's total into two boundary lookups.
+    flat_ids = np.concatenate(id_chunks) if id_chunks else np.zeros(0, np.int64)
+    slots, per_slot = np.unique(flat_ids, return_counts=True)
+    running = np.concatenate(
+        ([0], np.cumsum(np.minimum(per_slot, 2), dtype=np.int64))
+    )
+    group_totals = (
+        running[np.searchsorted(slots, ends)]
+        - running[np.searchsorted(slots, starts)]
+    ).tolist()
 
     stats: list[SliceStatistics] = []
-    for design, (start, length) in zip(designs, spans):
+    for design, group_total in zip(designs, group_totals):
         m = design.num_chains
         _, w = code_parameters(m)
         si = design.scan_in_max
         if si == 0:
             mean_cost = 1.0
         else:
-            group_total = int(running[start + length] - running[start])
             mean_cost = (samples + group_total) / samples
         total_slices = core.patterns * si
         stats.append(

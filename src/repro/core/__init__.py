@@ -28,7 +28,7 @@ from repro.core.architecture import (
     DecompressorPlacement,
 )
 from repro.core.scheduler import schedule_cores
-from repro.core.partition import iter_partitions, count_partitions
+from repro.core.partition import count_partitions, partitions_list
 from repro.core.optimizer import (
     optimize_per_tam,
     optimize_soc,
@@ -71,7 +71,7 @@ __all__ = [
     "TestArchitecture",
     "DecompressorPlacement",
     "schedule_cores",
-    "iter_partitions",
+    "partitions_list",
     "count_partitions",
     "PlanResult",
     "optimize_soc",

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.core.partition import iter_partitions
+from repro.core.partition import partitions_list
 from repro.core.scheduler import TimeFn
 
 DEFAULT_RATIOS: tuple[int, ...] = (1, 2, 4)
@@ -101,7 +101,7 @@ def optimize_multifrequency(
 
     best: MultiFrequencyPlan | None = None
     evaluated = 0
-    for parts in iter_partitions(bandwidth, max_tams, 1):
+    for parts in partitions_list(bandwidth, max_tams, 1):
         # Per part, every (width, ratio) factorization; combinations
         # across parts multiply, so walk them recursively.
         per_part_options = [_tam_options(part, ratios) for part in parts]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.partition import iter_partitions
+from repro.core.partition import partitions_list
 from repro.core.scheduler import TimeFn
 
 #: Exhaustive assignment is exponential; refuse bigger instances.
@@ -130,7 +130,7 @@ def optimal_schedule(
     best_widths: tuple[int, ...] | None = None
     best_assignment: tuple[int, ...] | None = None
     total_nodes = 0
-    for widths in iter_partitions(total_width, max_parts, min_width):
+    for widths in partitions_list(total_width, max_parts, min_width):
         durations = [
             [time_of(core_names[i], w) for w in widths] for i in order
         ]

@@ -1,9 +1,9 @@
 """TAM partition enumeration.
 
 This module owns the *enumeration* of the partition space (the paper's
-step 3 domain): :func:`iter_partitions`, its materialized/memoized twin
-:func:`partitions_list`, and :func:`count_partitions` with the
-``AUTO_PARTITION_LIMIT`` that decides when "auto" stops enumerating.
+step 3 domain): :func:`partitions_list`, and :func:`count_partitions`
+with the ``AUTO_PARTITION_LIMIT`` that decides when "auto" stops
+enumerating.
 
 The *search strategies* over that space are registered backends of
 :mod:`repro.search`; :func:`repro.search.run_search` is their front
@@ -13,7 +13,6 @@ door.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 from repro.search.state import PartitionSearchResult
 
@@ -21,7 +20,6 @@ __all__ = [
     "AUTO_PARTITION_LIMIT",
     "PartitionSearchResult",
     "count_partitions",
-    "iter_partitions",
     "partitions_list",
 ]
 
@@ -29,55 +27,22 @@ __all__ = [
 AUTO_PARTITION_LIMIT = 60_000
 
 
-def iter_partitions(
-    total: int, max_parts: int, min_width: int = 1
-) -> Iterator[tuple[int, ...]]:
-    """Yield integer partitions of ``total`` (non-increasing parts).
-
-    Every part is at least ``min_width``; at most ``max_parts`` parts.
-    Whenever ``total >= min_width`` the full-width single TAM ``(total,)``
-    is yielded first; otherwise nothing is yielded.
-    """
-    if total < 1:
-        raise ValueError(f"total width must be >= 1, got {total}")
-    if max_parts < 1:
-        raise ValueError(f"max_parts must be >= 1, got {max_parts}")
-    if min_width < 1:
-        raise ValueError(f"min_width must be >= 1, got {min_width}")
-
-    def recurse(
-        remaining: int, cap: int, parts_left: int, prefix: list[int]
-    ) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        if parts_left == 0 or remaining < min_width:
-            return
-        # Largest part first keeps the non-increasing invariant; the part
-        # must leave room for the rest to be >= min_width each.
-        for part in range(min(cap, remaining), min_width - 1, -1):
-            rest = remaining - part
-            if rest and (parts_left - 1 == 0 or rest < min_width):
-                continue
-            prefix.append(part)
-            yield from recurse(rest, part, parts_left - 1, prefix)
-            prefix.pop()
-
-    yield from recurse(total, total, max_parts, [])
-
-
 @lru_cache(maxsize=64)
 def partitions_list(
     total: int, max_parts: int, min_width: int = 1
 ) -> tuple[tuple[int, ...], ...]:
-    """Materialized (and memoized) :func:`iter_partitions`.
+    """Integer partitions of ``total`` (non-increasing parts), memoized.
 
-    Equal to ``tuple(iter_partitions(total, max_parts, min_width))``
-    element for element (pinned by the differential suite) but built
-    with a direct append recursion: resuming a ``yield from`` chain
-    per partition costs more than every schedule the partition feeds.
-    Only the exhaustive strategy calls this, so the memo stays below
-    ``AUTO_PARTITION_LIMIT`` tuples per entry.
+    Every part is at least ``min_width``; at most ``max_parts`` parts.
+    Whenever ``total >= min_width`` the full-width single TAM
+    ``(total,)`` comes first; otherwise the tuple is empty.  Built with
+    a direct append recursion: resuming a generator chain per partition
+    costs more than every schedule the partition feeds.
+
+    The exhaustive strategy calls this below ``AUTO_PARTITION_LIMIT``,
+    but the constrained and per-TAM stages call it with no such limit,
+    so one entry can be large: W=128 with six parts holds 587,535
+    tuples, about 58 MiB.
     """
     if total < 1:
         raise ValueError(f"total width must be >= 1, got {total}")
@@ -108,7 +73,7 @@ def partitions_list(
 
 
 def count_partitions(total: int, max_parts: int, min_width: int = 1) -> int:
-    """Number of partitions :func:`iter_partitions` would yield."""
+    """Number of partitions :func:`partitions_list` would return."""
     # Dynamic program over (remaining, cap expressed as part sizes).
     # Small enough inputs that a dict-memoized recursion is fine.
     from functools import lru_cache

@@ -55,39 +55,10 @@ def schedule_cores(
     case), longest first, then greedily placed where the resulting
     makespan is smallest; ties prefer the TAM that finishes earliest,
     then the lowest TAM index, keeping the result deterministic.
+    Callers that schedule many partitions over the same cores should
+    keep one :class:`TimeTable` and call :func:`schedule_cores_indexed`.
     """
-    if not widths:
-        raise ValueError("at least one TAM is required")
-    if any(w < 1 for w in widths):
-        raise ValueError(f"TAM widths must be >= 1, got {tuple(widths)}")
-
-    widest = max(widths)
-    order = sorted(
-        range(len(core_names)),
-        key=lambda i: (-time_of(core_names[i], widest), core_names[i]),
-    )
-
-    loads = [0] * len(widths)
-    assignment = [-1] * len(core_names)
-    for index in order:
-        name = core_names[index]
-        best_tam = -1
-        best_key: tuple[int, int, int] | None = None
-        current_makespan = max(loads)
-        for tam, width in enumerate(widths):
-            finish = loads[tam] + time_of(name, width)
-            key = (max(current_makespan, finish), finish, tam)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_tam = tam
-        assignment[index] = best_tam
-        loads[best_tam] += time_of(name, widths[best_tam])
-
-    return ScheduleOutcome(
-        widths=tuple(widths),
-        makespan=max(loads),
-        assignment=tuple(assignment),
-    )
+    return schedule_cores_indexed(TimeTable(core_names, time_of), widths)
 
 
 class TimeTable:
@@ -95,9 +66,9 @@ class TimeTable:
 
     The partition search schedules tens of thousands of partitions over
     the same handful of cores and widths; going through the generic
-    ``time_of(name, width)`` callback per (core, TAM) step pays dict and
-    LRU overhead millions of times.  This table resolves each width to a
-    plain row of ints (indexed by core position) once, and memoizes the
+    ``time_of(name, width)`` callback per (core, TAM) step would pay a
+    call millions of times.  This table resolves each width to a plain
+    row of ints (indexed by core position) once, and memoizes the
     longest-first core order per widest width -- the only two lookups
     the inner loop needs.
     """
@@ -130,11 +101,11 @@ class TimeTable:
 def schedule_cores_indexed(
     table: TimeTable, widths: Sequence[int]
 ) -> ScheduleOutcome:
-    """Fast path of :func:`schedule_cores` over a :class:`TimeTable`.
+    """The list heuristic of :func:`schedule_cores` over a :class:`TimeTable`.
 
-    Bit-identical to ``schedule_cores(table.core_names, widths,
-    time_of)`` -- same ordering, same tie-breaks (pinned by the
-    differential suite) -- with every lookup a list index.
+    Every lookup is a list index; the scalar loop it replaced is kept
+    in the test suite as the reference that pins its ordering and
+    tie-breaks.
     """
     if not widths:
         raise ValueError("at least one TAM is required")

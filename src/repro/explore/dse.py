@@ -33,7 +33,6 @@ response flush.
 from __future__ import annotations
 
 import contextlib
-import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -43,15 +42,10 @@ import numpy as np
 
 from repro import obs
 from repro.compression.cubes import TestCubeSet, generate_cubes
-from repro.compression.estimator import (
-    DEFAULT_SAMPLES,
-    estimate_codewords,
-    estimate_codewords_batch,
-)
+from repro.compression.estimator import DEFAULT_SAMPLES, estimate_codewords_batch
 from repro.compression.hotpath import exact_codeword_totals, symbol_table
-from repro.compression.selective import code_parameters, slice_costs, slice_width_range
+from repro.compression.selective import code_parameters, slice_width_range
 from repro.explore.cache import AnalysisDiskCache, analysis_fingerprint
-from repro.flags import use_scalar_kernels
 from repro.parallel import parallel_map, resolve_jobs
 from repro.soc.core import Core
 from repro.wrapper.design import design_wrapper, design_wrappers_batch
@@ -224,14 +218,10 @@ class CoreAnalysis:
     def _ensure_points(self, m_values: Iterable[int]) -> None:
         """Evaluate every missing ``m`` in one batched kernel pass.
 
-        The fast path batches the wrapper BFD across all chain counts
-        and runs the fused codeword kernels
-        (:mod:`repro.compression.hotpath` /
+        The wrapper BFD is batched across all chain counts and the fused
+        codeword kernels (:mod:`repro.compression.hotpath` /
         :func:`~repro.compression.estimator.estimate_codewords_batch`)
-        over all missing designs at once.  Under
-        ``REPRO_SCALAR_KERNELS`` each design instead goes through the
-        retained reference path one by one; both fill the same memo with
-        bit-identical points.
+        run over all missing designs at once.
         """
         missing = sorted(
             {int(m) for m in m_values if int(m) not in self._compressed}
@@ -240,10 +230,6 @@ class CoreAnalysis:
             if m < 1:
                 raise ValueError(f"wrapper chain count must be >= 1, got {m}")
         if not missing:
-            return
-        if use_scalar_kernels():
-            for m in missing:
-                self._compressed[m] = self._scalar_point(m)
             return
         designs_by_m = design_wrappers_batch(self.core, missing)
         designs = [designs_by_m[m] for m in missing]
@@ -265,22 +251,6 @@ class CoreAnalysis:
             self._compressed[m] = self._build_point(
                 m, design.scan_in_max, design.scan_out_max, codewords, exact
             )
-
-    def _scalar_point(self, m: int) -> CompressedPoint:
-        """Reference evaluation of one ``m`` (the pre-vectorization path)."""
-        design = design_wrapper(self.core, m)
-        if self.mode == "exact":
-            slices = self.cubes.slices(design)
-            codewords = int(slice_costs(slices).sum())
-            exact = True
-        else:
-            codewords = estimate_codewords(
-                self.core, design, samples=self.samples
-            ).total_codewords
-            exact = False
-        return self._build_point(
-            m, design.scan_in_max, design.scan_out_max, codewords, exact
-        )
 
     def _build_point(
         self, m: int, si: int, so: int, codewords: int, exact: bool
@@ -486,17 +456,15 @@ class CoreAnalysis:
             raise ValueError(f"TAM width must be >= 1, got {max_tam_width}")
         if self.is_complete_for(max_tam_width):
             return
-        if not use_scalar_kernels():
-            # One batched BFD pass warms the wrapper cache for every
-            # width the loops below will ask for.
-            design_wrappers_batch(self.core, range(1, max_tam_width + 1))
+        # One batched BFD pass warms the wrapper cache for every width
+        # the loop below asks for.
+        design_wrappers_batch(self.core, range(1, max_tam_width + 1))
         for w in range(1, max_tam_width + 1):
             self.uncompressed_point(w)
         if not compressed:
             return
-        top = min(max_tam_width, self.max_code_width)
-        for w in range(MIN_CODE_WIDTH, top + 1):
-            self.best_for_code_width(w)
+        # The same one-batch prefix extension the lookup-table rows use.
+        self.best_compressed_for_tam(max_tam_width)
         self._precomputed_width = max(self._precomputed_width, max_tam_width)
 
     def snapshot(self) -> dict:

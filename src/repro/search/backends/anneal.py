@@ -1,16 +1,15 @@
 """Simulated-annealing backend over the joint (partition, assignment) space.
 
-Behaviorally the pre-refactor annealer (frozen in
-``tests/_legacy_search.py``) with exactly one intentional change,
-shipped as its own fix: the temperature now cools **once per
+Behaviorally the historical annealer with exactly one intentional
+change, shipped as its own fix: the temperature now cools **once per
 iteration**.  The historical loop hit ``continue`` on
 invalid moves *before* ``temperature *= cooling``, so the effective
 cooling schedule depended on the move-validity rate -- more invalid
 draws meant a hotter, longer exploration phase than the ``cooling``
-knob promised.  The differential suite pins this backend bit-for-bit
-against the historical code with only the cooling line moved
-(``legacy_anneal_search_fixed``); everything else -- RNG draw order,
-move semantics, acceptance rule, canonicalization -- is unchanged.
+knob promised.  Everything else -- RNG draw order, move semantics,
+acceptance rule, canonicalization -- is unchanged, and the golden
+fingerprints (``tests/golden_plans.json``, ``searches`` and the
+anneal plans) pin this backend bit for bit.
 
 Proposals (iterations attempted) and evaluations (valid proposals
 actually costed) are counted separately: ``search.proposals`` vs.

@@ -1,16 +1,16 @@
 """Exhaustive backend: schedule every partition, keep the best.
 
-Bit-identical to the pre-refactor ``_exhaustive`` in
-``repro/core/partition.py`` (pinned by the differential suite),
-including the ``REPRO_SCALAR_KERNELS`` gate between the scalar
-reference loop and the vectorized batch kernel.
+Every partition goes through the vectorized batch kernel
+(:func:`~repro.core.scheduler.schedule_makespans_batch`); the first
+minimum in enumeration order wins, the tie-break of the scalar loop
+it replaced (pinned by the golden fingerprints and the scheduler
+differential tests).
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.flags import use_scalar_kernels
 from repro.search.evaluator import Evaluator
 from repro.search.state import PartitionSearchResult, SearchSpace
 
@@ -22,20 +22,14 @@ class ExhaustiveBackend:
     def run(
         self, evaluator: Evaluator, space: SearchSpace, **options: Any
     ) -> PartitionSearchResult:
-        from repro.core.partition import iter_partitions, partitions_list
+        from repro.core.partition import partitions_list
 
-        if use_scalar_kernels():
-            for widths in iter_partitions(
-                space.total_width, space.max_parts, space.min_width
-            ):
-                evaluator.schedule_scalar(widths)
-        else:
-            partitions = partitions_list(
-                space.total_width, space.max_parts, space.min_width
-            )
-            # The batch kernel tracks the argmin winner on the
-            # evaluator (first minimum -- the legacy tie-break).
-            evaluator.batch_makespans(partitions)
+        partitions = partitions_list(
+            space.total_width, space.max_parts, space.min_width
+        )
+        # The batch kernel tracks the argmin winner on the evaluator
+        # (first minimum -- the historical tie-break).
+        evaluator.batch_makespans(partitions)
         best = evaluator.best
         assert best is not None  # (total,) is always enumerated
         return PartitionSearchResult(

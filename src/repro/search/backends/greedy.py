@@ -1,7 +1,6 @@
 """Greedy backend: split/shift/merge around the bottleneck TAM.
 
-Bit-identical to the pre-refactor ``_greedy`` in
-``repro/core/partition.py`` (pinned by the differential suite): start
+The historical greedy search, pinned by the golden fingerprints: start
 from the single full-width TAM, find the TAM that finishes last, try
 splitting it, pulling a wire from every possible donor, and merging the
 two narrowest TAMs; take the first strict improvement and repeat.
@@ -9,10 +8,9 @@ two narrowest TAMs; take the first strict improvement and repeat.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.core.scheduler import ScheduleOutcome
-from repro.flags import use_scalar_kernels
 from repro.search.evaluator import Evaluator
 from repro.search.state import PartitionSearchResult, SearchSpace
 
@@ -58,12 +56,7 @@ class GreedyBackend:
     def run(
         self, evaluator: Evaluator, space: SearchSpace, **options: Any
     ) -> PartitionSearchResult:
-        schedule: Callable[[Sequence[int]], ScheduleOutcome]
-        if use_scalar_kernels():
-            schedule = evaluator.schedule_scalar
-        else:
-            schedule = evaluator.schedule
-        best = schedule(space.single_tam)
+        best = evaluator.schedule(space.single_tam)
         improved = True
         while improved:
             improved = False
@@ -75,7 +68,7 @@ class GreedyBackend:
                     w < space.min_width for w in widths
                 ):
                     continue
-                outcome = schedule(sorted(widths, reverse=True))
+                outcome = evaluator.schedule(sorted(widths, reverse=True))
                 if outcome.makespan < best.makespan:
                     best = outcome
                     improved = True

@@ -1,12 +1,12 @@
 """The one evaluation funnel every search backend shares.
 
-An :class:`Evaluator` wraps the scheduling kernels
-(:func:`repro.core.scheduler.schedule_cores` and its indexed/batched
-fast paths over a :class:`~repro.core.scheduler.TimeTable`) behind a
-small API the backends drive:
+An :class:`Evaluator` wraps the scheduling kernels (the indexed and
+batched list schedulers over a
+:class:`~repro.core.scheduler.TimeTable`) behind a small API the
+backends drive:
 
 * :meth:`schedule` -- list-schedule a partition (memoized on the width
-  vector; a memo hit still counts as an evaluation so the legacy
+  vector; a memo hit still counts as an evaluation so the historical
   ``partitions_evaluated`` numbers stay bit-identical);
 * :meth:`batch_makespans` -- the vectorized many-partitions kernel;
 * :meth:`makespan_of` -- cost of an explicit (widths, assignment)
@@ -34,7 +34,6 @@ from repro.core.scheduler import (
     ScheduleOutcome,
     TimeFn,
     TimeTable,
-    schedule_cores,
     schedule_cores_indexed,
     schedule_makespans_batch,
 )
@@ -88,22 +87,6 @@ class Evaluator:
         outcome = self._memo.get(key)
         if outcome is None:
             outcome = schedule_cores_indexed(self.table, key)
-            self._remember(key, outcome)
-        self._track(outcome)
-        return outcome
-
-    def schedule_scalar(self, widths: Sequence[int]) -> ScheduleOutcome:
-        """List-schedule through the scalar reference kernel.
-
-        Bit-identical to :meth:`schedule`; kept as a separate path so
-        ``REPRO_SCALAR_KERNELS=1`` exercises the original per-call
-        ``time_of`` loop exactly as the pre-refactor code did.
-        """
-        key = tuple(widths)
-        self._count(1)
-        outcome = self._memo.get(key)
-        if outcome is None:
-            outcome = schedule_cores(self.core_names, key, self.time_of)
             self._remember(key, outcome)
         self._track(outcome)
         return outcome

@@ -16,12 +16,12 @@ apply: the guard on the move index fails, shift drew ``donor == taker``
 or a donor at ``min_width``, split drew a TAM too narrow to split, or
 merge drew ``a == b``.
 
-The RNG draw order in here is **load-bearing**: the differential suite
-pins the refactored annealer bit-for-bit against the historical
-implementation, and that only holds if every ``rng.integers`` /
-``rng.random`` call happens in the same sequence -- including the
-short-circuit in split, where the coin flip is drawn only for cores
-currently homed on the split TAM.  Do not reorder draws.
+The RNG draw order in here is **load-bearing**: the golden
+fingerprints pin the annealer bit for bit, and that only holds if
+every ``rng.integers`` / ``rng.random`` call happens in the same
+sequence -- including the short-circuit in split, where the coin flip
+is drawn only for cores currently homed on the split TAM.  Do not
+reorder draws.
 """
 
 from __future__ import annotations

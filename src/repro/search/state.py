@@ -48,8 +48,8 @@ class SearchState:
         """Widths sorted descending, assignment remapped to match.
 
         The sort is stable, so equal widths keep their relative order --
-        exactly the canonicalization the pre-refactor annealer applied
-        (pinned by the differential suite).
+        exactly the canonicalization the historical annealer applied
+        (pinned by the golden fingerprints).
         """
         order = sorted(range(len(self.widths)), key=lambda t: -self.widths[t])
         remap = {old: new for new, old in enumerate(order)}

@@ -27,7 +27,7 @@ from repro.core.architecture import (
     Tam,
     TestArchitecture,
 )
-from repro.core.partition import iter_partitions
+from repro.core.partition import partitions_list
 from repro.core.scheduler import schedule_cores
 from repro.explore.dse import analysis_for
 from repro.soc.core import Core
@@ -175,7 +175,7 @@ def optimize_hierarchical(
     max_parts = min(len(names), 6) if max_tams is None else max_tams
     max_parts = min(max_parts, tam_width // min_tam_width)
     best_outcome = None
-    for widths in iter_partitions(tam_width, max_parts, min_tam_width):
+    for widths in partitions_list(tam_width, max_parts, min_tam_width):
         outcome = schedule_cores(names, widths, time_of)
         if best_outcome is None or outcome.makespan < best_outcome.makespan:
             best_outcome = outcome

@@ -1,23 +1,20 @@
-"""Differential proof: the pipeline reproduces the pre-refactor plans.
+"""The historical entry points reproduce their golden plans.
 
-``tests/_legacy_optimizer.py`` is the optimizer exactly as it stood
-before ``repro.pipeline`` existed.  These tests run it next to the
-pipeline-backed entry points on the real benchmark designs and require
-*bit-identical* architectures (``TestArchitecture`` equality is strict:
-same TAMs, same placement order, same per-core configurations) plus
-matching search statistics.  ``cpu_seconds`` is wall clock and is the
-one field allowed to differ.
-
-Within one test the module-level analysis memo makes the second run
-nearly free, so each comparison pays for the design-space exploration
-only once.
+``optimize_soc``, ``optimize_soc_constrained``, ``optimize_per_tam`` and
+``plan`` each run here on cold analyses, and their exported result
+must match its fingerprint in ``tests/golden_plans.json`` (see
+``tests/test_golden_plans.py``, which computes the same plans on warm
+analyses shared across a design's flows).  The fingerprint covers the
+whole exported plan: architecture, search statistics, peak power,
+budget and TAM idle cycles; ``cpu_seconds`` and the stage timings are
+the only fields left out.  Invalid inputs keep their exact error
+messages.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import _legacy_optimizer as legacy
 from repro.core.optimizer import (
     optimize_per_tam,
     optimize_soc,
@@ -26,122 +23,100 @@ from repro.core.optimizer import (
 from repro.pipeline import RunConfig, plan
 from repro.reporting.export import result_from_json, result_to_json
 from repro.soc.industrial import load_design
+from test_golden_plans import d695_precedence, fingerprint, golden
 
 ALL_DESIGNS = ("d695", "d2758", "System1", "System2", "System3", "System4")
 
 
-def _assert_same_plan(new, old):
-    assert new.architecture == old.architecture
-    assert new.soc_name == old.soc_name
-    assert new.width_budget == old.width_budget
-    assert new.compression == old.compression
-    assert new.partitions_evaluated == old.partitions_evaluated
-    assert new.strategy == old.strategy
-    assert new.test_time == old.test_time
-    assert new.test_data_volume == old.test_data_volume
-    assert new.tam_widths == old.tam_widths
+def _assert_golden(result, design, key):
+    assert fingerprint(result) == golden()[design][key], (design, key)
 
 
 @pytest.mark.parametrize("design", ALL_DESIGNS)
 def test_optimize_soc_bit_identical(design):
     soc = load_design(design)
-    new = optimize_soc(soc, 16, compression="auto")
-    old = legacy.optimize_soc(soc, 16, compression="auto")
-    _assert_same_plan(new, old)
+    _assert_golden(optimize_soc(soc, 16, compression="auto"), design, "auto@16")
 
 
 @pytest.mark.parametrize("compression", ["none", "per-core", "select"])
 def test_optimize_soc_modes_bit_identical(compression):
     soc = load_design("d695")
-    new = optimize_soc(soc, 16, compression=compression)
-    old = legacy.optimize_soc(soc, 16, compression=compression)
-    _assert_same_plan(new, old)
+    result = optimize_soc(soc, 16, compression=compression)
+    _assert_golden(result, "d695", f"{compression}@16")
 
 
 def test_plan_entry_point_matches_legacy():
-    """The new one-call plan() is the same flow as optimize_soc."""
+    """The one-call plan() is the same flow as optimize_soc."""
     soc = load_design("d695")
-    new = plan(soc, 16, RunConfig(compression="auto"))
-    old = legacy.optimize_soc(soc, 16, compression="auto")
-    _assert_same_plan(new, old)
+    _assert_golden(plan(soc, 16, RunConfig(compression="auto")), "d695", "auto@16")
 
 
 @pytest.mark.parametrize("design", ["d695", "System1"])
 def test_constrained_bit_identical(design):
     soc = load_design(design)
-    new = optimize_soc_constrained(soc, 12, power_budget=900.0)
-    old = legacy.optimize_soc_constrained(soc, 12, power_budget=900.0)
-    _assert_same_plan(new, old)
-    assert new.peak_power == old.peak_power
-    assert new.power_budget == old.power_budget
-    assert new.tam_idle_cycles == old.tam_idle_cycles
+    result = optimize_soc_constrained(soc, 12, power_budget=900.0)
+    _assert_golden(result, design, "power900@12")
 
 
 def test_constrained_unconstrained_bit_identical():
     """No constraints still means the exhaustive constrained scan."""
     soc = load_design("d695")
-    new = optimize_soc_constrained(soc, 12)
-    old = legacy.optimize_soc_constrained(soc, 12)
-    _assert_same_plan(new, old)
+    _assert_golden(optimize_soc_constrained(soc, 12), "d695", "constrained@12")
 
 
 def test_constrained_precedence_bit_identical():
     soc = load_design("d695")
-    names = list(soc.core_names)
-    precedence = ((names[0], names[1]), (names[2], names[3]))
-    new = optimize_soc_constrained(soc, 12, precedence=precedence)
-    old = legacy.optimize_soc_constrained(soc, 12, precedence=precedence)
-    _assert_same_plan(new, old)
-    assert new.tam_idle_cycles == old.tam_idle_cycles
+    result = optimize_soc_constrained(soc, 12, precedence=d695_precedence())
+    _assert_golden(result, "d695", "precedence@12")
 
 
 @pytest.mark.parametrize("design", ["d695", "System1"])
 def test_per_tam_bit_identical(design):
     soc = load_design(design)
-    new = optimize_per_tam(soc, 12)
-    old = legacy.optimize_per_tam(soc, 12)
-    _assert_same_plan(new, old)
+    _assert_golden(optimize_per_tam(soc, 12), design, "per-tam@12")
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(width=0),
-        dict(width=16, compression="bogus"),
+        dict(width=0, message="TAM width must be >= 1, got 0"),
+        dict(
+            width=16,
+            compression="bogus",
+            message="unknown compression mode 'bogus'",
+        ),
     ],
 )
 def test_optimize_soc_errors_match_legacy(kwargs, tiny_soc):
-    """Same invalid input -> same exception type and message."""
-    width = kwargs.pop("width")
-    with pytest.raises(ValueError) as new_err:
+    """Invalid input raises ValueError with the historical message."""
+    width, message = kwargs.pop("width"), kwargs.pop("message")
+    with pytest.raises(ValueError) as err:
         optimize_soc(tiny_soc, width, **kwargs)
-    with pytest.raises(ValueError) as old_err:
-        legacy.optimize_soc(tiny_soc, width, **kwargs)
-    assert str(new_err.value) == str(old_err.value)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(width=0),
-        dict(width=2, min_tam_width=5),
+        dict(width=0, message="TAM width must be >= 1, got 0"),
+        dict(
+            width=2,
+            min_tam_width=5,
+            message="width 2 cannot host a TAM of min width 5",
+        ),
     ],
 )
 def test_constrained_errors_match_legacy(kwargs, tiny_soc):
-    width = kwargs.pop("width")
-    with pytest.raises(ValueError) as new_err:
+    width, message = kwargs.pop("width"), kwargs.pop("message")
+    with pytest.raises(ValueError) as err:
         optimize_soc_constrained(tiny_soc, width, **kwargs)
-    with pytest.raises(ValueError) as old_err:
-        legacy.optimize_soc_constrained(tiny_soc, width, **kwargs)
-    assert str(new_err.value) == str(old_err.value)
+    assert str(err.value) == message
 
 
 def test_per_tam_errors_match_legacy(tiny_soc):
-    with pytest.raises(ValueError) as new_err:
+    with pytest.raises(ValueError) as err:
         optimize_per_tam(tiny_soc, 2)
-    with pytest.raises(ValueError) as old_err:
-        legacy.optimize_per_tam(tiny_soc, 2)
-    assert str(new_err.value) == str(old_err.value)
+    assert str(err.value) == "ATE channels (2) below minimum code width (3)"
 
 
 def test_plan_result_json_round_trip(tiny_soc):

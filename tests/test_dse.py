@@ -1,5 +1,6 @@
 """Unit tests for the per-core design-space exploration layer."""
 
+import json
 import sys
 import threading
 import time
@@ -9,7 +10,12 @@ import pytest
 
 from repro.compression.cubes import generate_cubes
 from repro.compression.selective import code_parameters, slice_costs, slice_width_range
-from repro.explore.dse import CoreAnalysis, analysis_for, clear_analysis_cache
+from repro.explore.dse import (
+    MIN_CODE_WIDTH,
+    CoreAnalysis,
+    analysis_for,
+    clear_analysis_cache,
+)
 from repro.soc.core import Core
 from repro.wrapper.design import design_wrapper
 
@@ -71,6 +77,39 @@ class TestUncompressedPoints:
         assert not analysis.is_complete_for(12)
         analysis.precompute(12)
         assert analysis.is_complete_for(12)
+
+
+class TestPrecompute:
+    """The ``--jobs``/disk-cache fill of a whole analysis."""
+
+    def test_one_kernel_pass_per_core(self, tiny_soc, monkeypatch):
+        from repro.explore import dse
+
+        calls = []
+        kernel = dse.exact_codeword_totals
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(dse, "exact_codeword_totals", counting)
+        for core in tiny_soc.cores:
+            CoreAnalysis(core, mode="exact").precompute(16)
+        assert len(calls) == len(tiny_soc.cores)
+
+    def test_snapshot_matches_a_per_code_width_fill(self, tiny_soc):
+        """The batched fill stores the same disk-cache payload, byte for byte."""
+        for core in tiny_soc.cores:
+            batched = CoreAnalysis(core)
+            batched.precompute(16)
+            reference = CoreAnalysis(core)
+            for w in range(1, 17):
+                reference.uncompressed_point(w)
+            for w in range(MIN_CODE_WIDTH, min(16, reference.max_code_width) + 1):
+                reference.best_for_code_width(w)
+            expected = reference.snapshot()
+            expected["precomputed_width"] = 16
+            assert json.dumps(batched.snapshot()) == json.dumps(expected)
 
 
 class TestCompressedPoints:

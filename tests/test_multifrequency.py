@@ -7,7 +7,7 @@ from repro.core.multifrequency import (
     _tam_options,
     optimize_multifrequency,
 )
-from repro.core.partition import iter_partitions
+from repro.core.partition import partitions_list
 from repro.core.scheduler import schedule_cores
 
 
@@ -50,7 +50,7 @@ class TestOptimize:
         )
         plain = min(
             schedule_cores(names, widths, time_of).makespan
-            for widths in iter_partitions(8, 3)
+            for widths in partitions_list(8, 3)
         )
         assert multi.makespan == plain
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.core.optimal import MAX_CORES, OptimalOutcome, optimal_schedule
-from repro.core.partition import iter_partitions
+from repro.core.partition import partitions_list
 from repro.core.scheduler import schedule_cores
 
 
@@ -16,7 +16,7 @@ def divisible(work):
 def brute_force(names, total_width, time_of, max_parts, min_width=1):
     """Reference: enumerate partitions x all k^n assignments."""
     best = None
-    for widths in iter_partitions(total_width, max_parts, min_width):
+    for widths in partitions_list(total_width, max_parts, min_width):
         k = len(widths)
         for assignment in itertools.product(range(k), repeat=len(names)):
             loads = [0] * k
@@ -67,7 +67,7 @@ class TestOptimalSchedule:
         names = list(work)
         time_of = divisible(work)
         exact = optimal_schedule(names, 8, time_of, max_parts=4)
-        for widths in iter_partitions(8, 4):
+        for widths in partitions_list(8, 4):
             heuristic = schedule_cores(names, widths, time_of)
             assert heuristic.makespan >= exact.makespan
 
@@ -84,7 +84,7 @@ class TestOptimalSchedule:
             exact = optimal_schedule(names, 6, time_of, max_parts=3)
             best_heuristic = min(
                 schedule_cores(names, widths, time_of).makespan
-                for widths in iter_partitions(6, 3)
+                for widths in partitions_list(6, 3)
             )
             worst = max(worst, best_heuristic / exact.makespan)
         assert worst <= 1.15

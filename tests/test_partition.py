@@ -2,63 +2,63 @@
 
 import pytest
 
-from repro.core.partition import count_partitions, iter_partitions
+from repro.core.partition import count_partitions, partitions_list
 from repro.search import run_search
 
 
 class TestIterPartitions:
+    """Enumeration of the partition space (:func:`partitions_list`)."""
+
     def test_single_tam_first(self):
-        assert next(iter_partitions(7, 3)) == (7,)
+        assert partitions_list(7, 3)[0] == (7,)
 
     def test_known_enumeration(self):
-        got = set(iter_partitions(5, 2))
+        got = set(partitions_list(5, 2))
         assert got == {(5,), (4, 1), (3, 2)}
 
     def test_min_width_respected(self):
-        got = set(iter_partitions(7, 3, min_width=2))
+        got = set(partitions_list(7, 3, min_width=2))
         assert got == {(7,), (5, 2), (4, 3), (3, 2, 2)}
 
     def test_parts_non_increasing(self):
-        for widths in iter_partitions(12, 4):
+        for widths in partitions_list(12, 4):
             assert all(a >= b for a, b in zip(widths, widths[1:]))
 
     def test_sums_correct(self):
-        for widths in iter_partitions(12, 4, min_width=2):
+        for widths in partitions_list(12, 4, min_width=2):
             assert sum(widths) == 12
 
     def test_max_parts_respected(self):
-        for widths in iter_partitions(10, 3):
+        for widths in partitions_list(10, 3):
             assert len(widths) <= 3
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            list(iter_partitions(0, 1))
+            partitions_list(0, 1)
         with pytest.raises(ValueError):
-            list(iter_partitions(4, 0))
+            partitions_list(4, 0)
         with pytest.raises(ValueError):
-            list(iter_partitions(4, 2, min_width=0))
+            partitions_list(4, 2, min_width=0)
 
     @pytest.mark.parametrize(
         "total,parts,min_width", [(10, 3, 1), (16, 4, 2), (24, 6, 1), (9, 9, 1)]
     )
     def test_count_matches_enumeration(self, total, parts, min_width):
-        enumerated = len(list(iter_partitions(total, parts, min_width)))
+        enumerated = len(partitions_list(total, parts, min_width))
         assert count_partitions(total, parts, min_width) == enumerated
 
     def test_no_duplicates(self):
-        partitions = list(iter_partitions(15, 5))
+        partitions = partitions_list(15, 5)
         assert len(partitions) == len(set(partitions))
 
     def test_count_matches_enumeration_on_full_grid(self):
-        # The closed-form counter and the generator must agree
+        # The closed-form counter and the enumeration must agree
         # everywhere, including degenerate corners (min_width > total,
         # a single part, max_parts far beyond what fits).
         for total in range(1, 13):
             for max_parts in range(1, 7):
                 for min_width in range(1, 4):
-                    enumerated = list(
-                        iter_partitions(total, max_parts, min_width)
-                    )
+                    enumerated = partitions_list(total, max_parts, min_width)
                     assert len(enumerated) == len(set(enumerated))
                     assert count_partitions(
                         total, max_parts, min_width

@@ -312,7 +312,6 @@ class TestLookupTablesRows:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(dse, "exact_codeword_totals", counting)
-        monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)  # the batch path
         _tables(tiny_soc, "per-core", 16)
         assert len(calls) == len(tiny_soc.cores)
 

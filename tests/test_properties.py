@@ -23,7 +23,7 @@ from repro.compression.selective import (
     encode_slices,
     slice_costs,
 )
-from repro.core.partition import iter_partitions
+from repro.core.partition import partitions_list
 from repro.core.scheduler import schedule_cores
 from repro.soc.core import Core, varied_chain_lengths
 from repro.wrapper.design import design_wrapper
@@ -164,10 +164,10 @@ class TestPartitionProperties:
     @settings(max_examples=80, deadline=None)
     def test_partitions_are_valid_and_unique(self, total, parts, min_width):
         if total < min_width:
-            assert list(iter_partitions(total, parts, min_width)) == []
+            assert partitions_list(total, parts, min_width) == ()
             return
         seen = set()
-        for widths in iter_partitions(total, parts, min_width):
+        for widths in partitions_list(total, parts, min_width):
             assert sum(widths) == total
             assert len(widths) <= parts
             assert all(x >= min_width for x in widths)

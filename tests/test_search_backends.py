@@ -19,7 +19,6 @@ import os
 import numpy as np
 import pytest
 
-import _legacy_search as legacy
 from repro import obs
 from repro.core.optimal import optimal_schedule
 from repro.pipeline import RunConfig, plan
@@ -269,22 +268,6 @@ class TestSanityBounds:
 
 
 class TestCoolingFix:
-    def test_shipped_schedule_was_skewed(self):
-        """The pre-fix annealer cooled only on valid proposals; the
-        fixed one cools every iteration.  They genuinely diverge."""
-        diverged = 0
-        for seed in range(8):
-            names, time_of = _random_workload(seed)
-            buggy = legacy.legacy_anneal_search(
-                names, 12, time_of, iterations=600, cooling=0.99, seed=seed
-            )
-            fixed = legacy.legacy_anneal_search_fixed(
-                names, 12, time_of, iterations=600, cooling=0.99, seed=seed
-            )
-            if buggy != fixed:
-                diverged += 1
-        assert diverged > 0
-
     def test_seed_pinned_result(self):
         """Determinism regression: the fixed schedule, pinned literally."""
         names, time_of = _random_workload(1)

@@ -1,19 +1,22 @@
 """Differential battery pinning every vectorized hot-path kernel.
 
-The single-plan hot path (PR: "vectorize the single-plan hot path")
-rewrote five layers with numpy -- selective slice costs, the fused
-exact codeword kernel, the sampled estimator, wrapper BFD, and the
-partition scheduler -- and every fast path retained its scalar
-reference implementation.  This suite holds each pair bit-identical:
+The single-plan hot path rewrote five layers with numpy -- selective
+slice costs, the fused exact codeword kernel, the sampled estimator,
+wrapper BFD, and the partition scheduler.  This suite holds each fast
+path bit-identical to a scalar reference:
 
 * **kernels** -- fast vs. reference on real benchmark cores (d695 /
   d2758 exact, the industrial ckt cores for the estimator) and on
   ``REPRO_FUZZ_SEEDS`` random cores from the fuzz generator;
-* **whole plans** -- ``REPRO_SCALAR_KERNELS=1`` flips the entire
-  pipeline onto the scalar stack; both plans of every catalog SOC and
-  of random fuzz SOCs must produce equal architectures, and every
-  fast-path plan is re-checked by the independent invariant catalog
-  (:mod:`repro.verify`).
+* **analysis points** -- every ``CoreAnalysis.compressed_point`` from
+  the batched pass vs. one per-``m`` BFD and codeword count
+  (:func:`scalar_point`);
+* **scheduler** -- the indexed and batch list schedulers vs. the
+  original per-call loop (:func:`reference_schedule_cores`);
+* **whole plans** -- every catalogue SOC matches its golden
+  fingerprint, random fuzz SOCs plan alike on lazily filled and on
+  precomputed analyses, and every plan is re-checked by the
+  independent invariant catalog (:mod:`repro.verify`).
 
 The codec fast/reference pairs (Golomb, FDR, zero-run extraction) are
 pinned in ``tests/test_codecs.py`` next to their unit tests.
@@ -43,15 +46,25 @@ from repro.compression.hotpath import (
     exact_codeword_totals,
     symbol_table,
 )
-from repro.compression.selective import slice_costs, slice_costs_reference
-from repro.core.partition import iter_partitions, partitions_list
+from repro.compression.selective import (
+    code_parameters,
+    slice_costs,
+    slice_costs_reference,
+)
+from repro.core.partition import partitions_list
 from repro.core.scheduler import (
+    ScheduleOutcome,
     TimeTable,
     schedule_cores,
     schedule_cores_indexed,
     schedule_makespans_batch,
 )
-from repro.explore.dse import analysis_for, clear_analysis_cache
+from repro.explore.dse import (
+    CompressedPoint,
+    CoreAnalysis,
+    analysis_for,
+    clear_analysis_cache,
+)
 from repro.pipeline import RunConfig, plan
 from repro.pipeline.tables import LookupTables
 from repro.search import run_search
@@ -64,6 +77,7 @@ from repro.wrapper.design import (
     design_wrapper,
     design_wrappers_batch,
 )
+from test_golden_plans import fingerprint, golden
 
 FUZZ_SEEDS = int(os.environ.get("REPRO_FUZZ_SEEDS", 24))
 #: Plan-level differentials replan every SOC twice; scale them slower.
@@ -190,6 +204,60 @@ class TestEstimatorDifferential:
 
 
 # ---------------------------------------------------------------------------
+# Analysis points: the batched pass vs. one design at a time.
+# ---------------------------------------------------------------------------
+
+
+def scalar_point(analysis: CoreAnalysis, m: int) -> CompressedPoint:
+    """Reference evaluation of one ``m``: per-``m`` BFD, one codeword count.
+
+    The test-time model is DESIGN.md section 3: one ATE cycle per
+    codeword, one capture cycle per pattern, and a final flush.
+    """
+    core = analysis.core
+    design = _design_wrapper_uncached(core, m)
+    if analysis.mode == "exact":
+        codewords = int(slice_costs(analysis.cubes.slices(design)).sum())
+    else:
+        codewords = estimate_codewords(
+            core, design, samples=analysis.samples
+        ).total_codewords
+    _, w = code_parameters(m)
+    si, so = design.scan_in_max, design.scan_out_max
+    return CompressedPoint(
+        m=m,
+        code_width=w,
+        scan_in_max=si,
+        scan_out_max=so,
+        codewords=codewords,
+        test_time=codewords + core.patterns + min(si, so),
+        volume=codewords * w,
+        exact=analysis.mode == "exact",
+    )
+
+
+class TestAnalysisPointsDifferential:
+    def _check(self, analysis, ms):
+        points = analysis.sweep_wrapper_chains(ms)
+        for m, point in zip(ms, points):
+            assert point == scalar_point(analysis, m), (analysis.core.name, m)
+
+    def test_exact_points_on_fuzz_cores(self):
+        for seed in range(FUZZ_SEEDS):
+            rng = random.Random(35_000 + seed)
+            core = random_core(rng, seed)
+            useful = core.max_useful_wrapper_chains
+            ms = sorted({1, 2, *(rng.randint(1, useful + 6) for _ in range(4))})
+            self._check(CoreAnalysis(core, mode="exact"), ms)
+
+    def test_estimate_points_on_ckt_cores(self):
+        by_name = {c.name: c for c in load_design("System4").cores}
+        for name in TestEstimatorDifferential.CKT_CORES:
+            analysis = CoreAnalysis(by_name[name], mode="estimate", samples=192)
+            self._check(analysis, [1, 2, 3, 8, 33])
+
+
+# ---------------------------------------------------------------------------
 # Wrapper BFD batch.
 # ---------------------------------------------------------------------------
 
@@ -249,6 +317,36 @@ class TestWrapperBatchDifferential:
 # ---------------------------------------------------------------------------
 
 
+def reference_schedule_cores(core_names, widths, time_of) -> ScheduleOutcome:
+    """The list heuristic as one loop of ``time_of`` calls.
+
+    Cores sorted longest-first at the widest TAM (ties by name), each
+    placed where the makespan grows least, then on the earliest finish,
+    then on the lowest TAM index.
+    """
+    widest = max(widths)
+    order = sorted(
+        range(len(core_names)),
+        key=lambda i: (-time_of(core_names[i], widest), core_names[i]),
+    )
+    loads = [0] * len(widths)
+    assignment = [-1] * len(core_names)
+    for index in order:
+        name = core_names[index]
+        current_makespan = max(loads)
+        best_tam, best_key = -1, None
+        for tam, width in enumerate(widths):
+            finish = loads[tam] + time_of(name, width)
+            key = (max(current_makespan, finish), finish, tam)
+            if best_key is None or key < best_key:
+                best_key, best_tam = key, tam
+        assignment[index] = best_tam
+        loads[best_tam] += time_of(name, widths[best_tam])
+    return ScheduleOutcome(
+        widths=tuple(widths), makespan=max(loads), assignment=tuple(assignment)
+    )
+
+
 def _random_table(rng):
     names = [f"c{i}" for i in range(rng.randint(1, 12))]
     times = {
@@ -269,9 +367,12 @@ class TestSchedulerDifferential:
                 widths = tuple(
                     rng.randint(1, 32) for _ in range(rng.randint(1, 6))
                 )
-                assert schedule_cores_indexed(
-                    table, widths
-                ) == schedule_cores(names, widths, time_of), (seed, widths)
+                expected = reference_schedule_cores(names, widths, time_of)
+                assert schedule_cores_indexed(table, widths) == expected, (
+                    seed,
+                    widths,
+                )
+                assert schedule_cores(names, widths, time_of) == expected
 
     def test_batch_makespans_match_scalar(self):
         for seed in range(FUZZ_SEEDS):
@@ -281,11 +382,11 @@ class TestSchedulerDifferential:
             total = rng.randint(1, 28)
             max_parts = rng.randint(1, 6)
             min_width = rng.randint(1, max(1, total // 2))
-            parts = list(iter_partitions(total, max_parts, min_width))
+            parts = partitions_list(total, max_parts, min_width)
             batch = schedule_makespans_batch(table, parts)
             ref = np.array(
                 [
-                    schedule_cores(names, p, time_of).makespan
+                    reference_schedule_cores(names, p, time_of).makespan
                     for p in parts
                 ],
                 dtype=np.int64,
@@ -300,8 +401,8 @@ class TestSchedulerDifferential:
             total = rng.randint(1, 24)
             fast = run_search(names, total, time_of, strategy="exhaustive")
             best = None
-            for widths in iter_partitions(total, min(len(names), 6), 1):
-                outcome = schedule_cores(names, widths, time_of)
+            for widths in partitions_list(total, min(len(names), 6), 1):
+                outcome = reference_schedule_cores(names, widths, time_of)
                 if best is None or outcome.makespan < best.makespan:
                     best = outcome
             assert fast.outcome == best, seed
@@ -330,29 +431,16 @@ class TestSchedulerDifferential:
         names = [core.name for core in soc.cores]
         time_of = tables.time_of
         table = TimeTable(names, time_of)
-        parts = list(iter_partitions(12, 4, 1))
+        parts = partitions_list(12, 4, 1)
         batch = schedule_makespans_batch(table, parts)
         for widths, makespan in zip(parts, batch.tolist()):
-            scalar = schedule_cores(names, widths, time_of)
+            scalar = reference_schedule_cores(names, widths, time_of)
             assert scalar == schedule_cores_indexed(table, widths)
             assert scalar.makespan == makespan, widths
 
 
-def test_partitions_list_matches_iterator():
-    cases = [(64, 6, 1), (32, 4, 2), (17, 3, 1), (5, 6, 1), (1, 1, 1)]
-    rng = random.Random(7)
-    cases += [
-        (rng.randint(1, 40), rng.randint(1, 6), rng.randint(1, 4))
-        for _ in range(20)
-    ]
-    for total, max_parts, min_width in cases:
-        assert partitions_list(total, max_parts, min_width) == tuple(
-            iter_partitions(total, max_parts, min_width)
-        ), (total, max_parts, min_width)
-
-
 # ---------------------------------------------------------------------------
-# Whole plans: fast stack vs. REPRO_SCALAR_KERNELS=1.
+# Whole plans.
 # ---------------------------------------------------------------------------
 
 
@@ -367,47 +455,46 @@ def _plan_fingerprint(result):
     )
 
 
-def _plan_both_ways(soc, width, config, monkeypatch):
-    """Plan cold on the fast stack, then cold on the scalar stack."""
-    monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)
+def _plan_cold(soc, width, config):
     clear_analysis_cache()
     clear_wrapper_design_cache()
-    fast = plan(soc, width, config)
-    monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-    clear_analysis_cache()
-    clear_wrapper_design_cache()
-    scalar = plan(soc, width, config)
-    monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)
-    clear_analysis_cache()
-    clear_wrapper_design_cache()
-    return fast, scalar
+    return plan(soc, width, config)
 
 
 CATALOG = ("d695", "d2758", "System1", "System2", "System3", "System4")
 
 
 @pytest.mark.parametrize("design_name", CATALOG)
-def test_plans_bit_identical_on_catalog(design_name, monkeypatch):
-    """Fast and scalar stacks plan every catalog SOC identically.
+def test_plans_bit_identical_on_catalog(design_name):
+    """Every catalog SOC plans to its golden fingerprint, cold.
 
-    The fast-path plan additionally passes the independent invariant
-    checker, so the speedup cannot have bought an inconsistent plan.
+    The plan additionally passes the independent invariant checker, so
+    the fast kernels cannot have bought an inconsistent plan.
     """
     soc = load_design(design_name)
     config = RunConfig(use_cache=False)
-    fast, scalar = _plan_both_ways(soc, 16, config, monkeypatch)
-    assert _plan_fingerprint(fast) == _plan_fingerprint(scalar)
-    report = verify_plan(fast, soc, config=config)
+    result = _plan_cold(soc, 16, config)
+    assert fingerprint(result) == golden()[design_name]["per-core@16"]
+    report = verify_plan(result, soc, config=config)
     assert report.ok, "\n".join(v.format() for v in report.violations)
 
 
-def test_plans_bit_identical_on_fuzz_socs(monkeypatch):
+def test_plans_bit_identical_on_fuzz_socs(tmp_path):
+    """Lazily filled and precomputed analyses plan random SOCs alike.
+
+    A disk cache sends the analyses through ``CoreAnalysis.precompute``
+    (the ``--jobs``/cache path) instead of the lookup-table rows.
+    """
     for seed in range(PLAN_SEEDS):
         rng = random.Random(70_000 + seed)
         soc = random_soc(rng)
         width = rng.randint(4, 20)
         config = RunConfig(compression="per-core", mode="exact", use_cache=False)
-        fast, scalar = _plan_both_ways(soc, width, config, monkeypatch)
-        assert _plan_fingerprint(fast) == _plan_fingerprint(scalar), seed
-        report = verify_plan(fast, soc, config=config)
+        lazy = _plan_cold(soc, width, config)
+        cached = config.replace(use_cache=True, cache_dir=str(tmp_path / str(seed)))
+        precomputed = _plan_cold(soc, width, cached)
+        assert _plan_fingerprint(lazy) == _plan_fingerprint(precomputed), seed
+        report = verify_plan(lazy, soc, config=config)
         assert report.ok, (seed, [v.format() for v in report.violations])
+    clear_analysis_cache()
+    clear_wrapper_design_cache()
