@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.compression.selective import GROUP_COPY_THRESHOLD, code_parameters
+from repro.compression.selective import code_parameters
 from repro.soc.core import Core
 from repro.wrapper.design import WrapperDesign
 
@@ -134,38 +134,6 @@ def estimate_slice_costs(
     # group is emitted as a 2-codeword group-copy.
     group_cost = np.minimum(per_group, 2)
     return 1 + group_cost.sum(axis=1)
-
-
-def estimate_slice_costs_reference(
-    core: Core,
-    design: WrapperDesign,
-    *,
-    samples: int = DEFAULT_SAMPLES,
-) -> np.ndarray:
-    """Scalar reference for :func:`estimate_slice_costs`.
-
-    Replays the identical random draws, then accounts the group costs
-    with plain Python loops.  The differential suite holds the
-    vectorized scatter/bincount accounting to this ground truth.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if design.scan_in_max == 0:
-        return np.ones(samples, dtype=np.int64)
-
-    targets, group_ids, _ = _sampled_target_groups(core, design, samples)
-    costs = np.empty(samples, dtype=np.int64)
-    cursor = 0
-    for index, count in enumerate(targets.tolist()):
-        per_group: dict[int, int] = {}
-        for group in group_ids[cursor : cursor + count].tolist():
-            per_group[group] = per_group.get(group, 0) + 1
-        cursor += count
-        cost = 1
-        for hits in per_group.values():
-            cost += 2 if hits >= GROUP_COPY_THRESHOLD else hits
-        costs[index] = cost
-    return costs
 
 
 def estimate_codewords(

@@ -194,9 +194,10 @@ def encode_slices(slices: np.ndarray) -> CompressedStream:
 def slice_costs(slices: np.ndarray) -> np.ndarray:
     """Codeword count of every slice, vectorized (no codeword objects).
 
-    Must agree exactly with :func:`slice_costs_reference` for every row
-    (pinned by the differential suite); this kernel is what the
-    design-space exploration and the sampled estimator are built on.
+    Must agree exactly with the codeword count of :func:`encode_slice`
+    for every row (the differential suite holds it to a reference that
+    encodes every slice); this kernel is what the design-space
+    exploration and the sampled estimator are built on.
     """
     arr = np.asarray(slices, dtype=np.int8)
     if arr.ndim == 3:
@@ -227,22 +228,6 @@ def slice_costs(slices: np.ndarray) -> np.ndarray:
     # group is emitted as a 2-codeword group-copy.
     group_cost = np.minimum(target_group, 2)
     return 1 + group_cost.sum(axis=1, dtype=np.int64)
-
-
-def slice_costs_reference(slices: np.ndarray) -> np.ndarray:
-    """Scalar reference for :func:`slice_costs` via real codeword lists.
-
-    Encodes every slice with :func:`encode_slice` and counts the
-    codewords.  Slow but independently derived from the codec itself;
-    the differential suite holds :func:`slice_costs` (and the fused
-    kernels in :mod:`repro.compression.hotpath`) to this ground truth.
-    """
-    arr = np.asarray(slices, dtype=np.int8)
-    if arr.ndim == 3:
-        arr = arr.reshape(-1, arr.shape[-1])
-    if arr.ndim != 2:
-        raise ValueError("slices must be 2-D (S, m) or 3-D (p, si, m)")
-    return np.array([len(encode_slice(row)) for row in arr], dtype=np.int64)
 
 
 def encoded_bits(slices: np.ndarray) -> int:

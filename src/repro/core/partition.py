@@ -27,11 +27,10 @@ __all__ = [
 AUTO_PARTITION_LIMIT = 60_000
 
 
-@lru_cache(maxsize=64)
 def partitions_list(
     total: int, max_parts: int, min_width: int = 1
 ) -> tuple[tuple[int, ...], ...]:
-    """Integer partitions of ``total`` (non-increasing parts), memoized.
+    """Integer partitions of ``total`` (non-increasing parts).
 
     Every part is at least ``min_width``; at most ``max_parts`` parts.
     Whenever ``total >= min_width`` the full-width single TAM
@@ -39,18 +38,24 @@ def partitions_list(
     a direct append recursion: resuming a generator chain per partition
     costs more than every schedule the partition feeds.
 
-    The exhaustive strategy calls this below ``AUTO_PARTITION_LIMIT``,
-    but the constrained and per-TAM stages call it with no such limit,
-    so one entry can be large: W=128 with six parts holds 587,535
-    tuples, about 58 MiB.
+    Lists of at most ``AUTO_PARTITION_LIMIT`` partitions, the ones the
+    exhaustive search enumerates, are memoized; plans over warm tables
+    reuse them.  Longer lists are built afresh on every call: only the
+    power-constrained and per-TAM stages, or an explicit exhaustive
+    search, ask for them, and each then schedules every partition, so
+    enumerating again costs little next to holding one (W=128 with six
+    parts is 587,535 tuples, about 58 MiB).
     """
-    if total < 1:
-        raise ValueError(f"total width must be >= 1, got {total}")
-    if max_parts < 1:
-        raise ValueError(f"max_parts must be >= 1, got {max_parts}")
-    if min_width < 1:
-        raise ValueError(f"min_width must be >= 1, got {min_width}")
+    # count_partitions also validates the arguments.
+    if count_partitions(total, max_parts, min_width) > AUTO_PARTITION_LIMIT:
+        return _enumerate(total, max_parts, min_width)
+    return _enumerate_memoized(total, max_parts, min_width)
 
+
+def _enumerate(
+    total: int, max_parts: int, min_width: int
+) -> tuple[tuple[int, ...], ...]:
+    """The enumeration behind :func:`partitions_list`, unchecked."""
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
@@ -72,25 +77,31 @@ def partitions_list(
     return tuple(out)
 
 
+_enumerate_memoized = lru_cache(maxsize=64)(_enumerate)
+
+
+@lru_cache(maxsize=1024)
 def count_partitions(total: int, max_parts: int, min_width: int = 1) -> int:
-    """Number of partitions :func:`partitions_list` would return."""
-    # Dynamic program over (remaining, cap expressed as part sizes).
-    # Small enough inputs that a dict-memoized recursion is fine.
-    from functools import lru_cache
+    """Number of partitions :func:`partitions_list` would return, memoized.
 
-    @lru_cache(maxsize=None)
-    def count(remaining: int, cap: int, parts_left: int) -> int:
-        if remaining == 0:
-            return 1
-        if parts_left == 0 or remaining < min_width:
-            return 0
-        return sum(
-            count(remaining - part, part, parts_left - 1)
-            for part in range(min(cap, remaining), min_width - 1, -1)
-            if not (
-                remaining - part
-                and (parts_left - 1 == 0 or remaining - part < min_width)
-            )
-        )
-
-    return count(total, total, max_parts)
+    Taking ``min_width - 1`` off each of ``k`` parts maps the partitions
+    into exactly ``k`` parts of at least ``min_width`` one-to-one onto
+    the partitions of ``total - k * (min_width - 1)`` into exactly ``k``
+    positive parts, whose count ``p(n, k)`` one table holds:
+    ``p(n, k) = p(n - 1, k - 1) + p(n - k, k)`` (a partition either
+    has a part equal to 1, or every part shrinks by one).
+    """
+    if total < 1:
+        raise ValueError(f"total width must be >= 1, got {total}")
+    if max_parts < 1:
+        raise ValueError(f"max_parts must be >= 1, got {max_parts}")
+    if min_width < 1:
+        raise ValueError(f"min_width must be >= 1, got {min_width}")
+    parts = min(max_parts, total // min_width)
+    # exact[k][n]: partitions of n into exactly k positive parts.
+    exact = [[1] + [0] * total] + [[0] * (total + 1) for _ in range(parts)]
+    for k in range(1, parts + 1):
+        row, fewer = exact[k], exact[k - 1]
+        for n in range(k, total + 1):
+            row[n] = fewer[n - 1] + row[n - k]
+    return sum(exact[k][total - k * (min_width - 1)] for k in range(1, parts + 1))

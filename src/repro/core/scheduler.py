@@ -8,10 +8,19 @@ O(n k) lookups for n cores and k TAMs.
 
 Cores on a TAM are tested serially; TAMs run in parallel; the SOC test
 time is the largest TAM finish time (the makespan).
+
+The makespan after placing a core on a TAM is ``max(makespan,
+finish)``, which never decreases as ``finish`` grows, so the TAM that
+grows the makespan least is the TAM where the core finishes earliest.
+Both schedulers here place each core on its first earliest finish: the
+key ``(finish, tam)`` picks the same TAM as the paper's three-part key
+``(max(makespan, finish), finish, tam)``, which the scalar reference in
+the test suite keeps.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,8 +62,9 @@ def schedule_cores(
 
     Cores are sorted by their test time on the *widest* TAM (their best
     case), longest first, then greedily placed where the resulting
-    makespan is smallest; ties prefer the TAM that finishes earliest,
-    then the lowest TAM index, keeping the result deterministic.
+    makespan is smallest, which is the TAM where the core finishes
+    earliest; ties prefer the lowest TAM index, keeping the result
+    deterministic.
     Callers that schedule many partitions over the same cores should
     keep one :class:`TimeTable` and call :func:`schedule_cores_indexed`.
     """
@@ -103,9 +113,10 @@ def schedule_cores_indexed(
 ) -> ScheduleOutcome:
     """The list heuristic of :func:`schedule_cores` over a :class:`TimeTable`.
 
-    Every lookup is a list index; the scalar loop it replaced is kept
-    in the test suite as the reference that pins its ordering and
-    tie-breaks.
+    Every lookup is a list index.  Each core goes to its first
+    earliest-finishing TAM (see the module docstring); the scalar loop
+    this replaced is kept in the test suite as the reference that pins
+    its ordering and tie-breaks.
     """
     if not widths:
         raise ValueError("at least one TAM is required")
@@ -114,27 +125,31 @@ def schedule_cores_indexed(
 
     order = table.order(max(widths))
     rows = [table.row(w) for w in widths]
-    num_tams = len(widths)
-    loads = [0] * num_tams
+    loads = [0] * len(widths)
     assignment = [-1] * len(table.core_names)
     for index in order:
-        current_makespan = max(loads)
-        best_tam = -1
-        best_key: tuple[int, int, int] | None = None
-        for tam in range(num_tams):
+        best_tam = 0
+        best_finish = loads[0] + rows[0][index]
+        for tam in range(1, len(widths)):
             finish = loads[tam] + rows[tam][index]
-            key = (max(current_makespan, finish), finish, tam)
-            if best_key is None or key < best_key:
-                best_key = key
+            if finish < best_finish:
+                best_finish = finish
                 best_tam = tam
         assignment[index] = best_tam
-        loads[best_tam] += rows[best_tam][index]
+        loads[best_tam] = best_finish
 
     return ScheduleOutcome(
         widths=tuple(widths),
         makespan=max(loads),
         assignment=tuple(assignment),
     )
+
+
+#: Partitions one pass of :func:`schedule_makespans_batch` advances
+#: together.  It bounds the kernel's transient memory, a few
+#: ``(partitions, tams)`` and ``(cores, partitions)`` arrays, whatever
+#: the number of partitions.
+_CHUNK = 4096
 
 
 def schedule_makespans_batch(
@@ -145,64 +160,113 @@ def schedule_makespans_batch(
     Returns an int64 array aligned with ``partitions``, equal to
     ``[schedule_cores_indexed(table, p).makespan for p in partitions]``
     (pinned by the differential suite).  The list heuristic is
-    sequential over cores but embarrassingly parallel over partitions:
-    grouping the partitions by (TAM count, widest width) makes every
-    partition in a group place its cores in the *same* order, so the
-    greedy placement advances core by core in lockstep over a
-    ``(partitions, tams)`` load matrix.
+    sequential over cores but embarrassingly parallel over partitions.
+    Partitions with the same TAM count share the shape of a
+    ``(partitions, tams)`` load matrix, so each such group advances one
+    placement step at a time in lockstep, in chunks of at most
+    ``_CHUNK`` partitions.  Every partition carries its own
+    longest-first core order (:meth:`TimeTable.order` at its widest
+    TAM) as a row of core indices, so step ``s`` places each
+    partition's ``s``-th core.  The core goes to the first minimum of
+    its finish times, which ``argmin`` gives directly: ties resolve to
+    the lowest TAM index, as in :func:`schedule_cores_indexed`.
 
-    Per core the lexicographic key ``(makespan, finish, tam)`` is
-    minimized in two passes -- mask to the minimum makespan, then take
-    the first minimum finish -- because ``argmin`` resolving ties to the
-    first position is exactly the lowest-TAM tie-break.
+    Raises the :func:`schedule_cores_indexed` ``ValueError`` of the
+    first partition that has no TAM or a width below 1.
     """
-    makespans = np.zeros(len(partitions), dtype=np.int64)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for position, widths in enumerate(partitions):
-        if not widths:
-            raise ValueError("at least one TAM is required")
-        if any(w < 1 for w in widths):
-            raise ValueError(f"TAM widths must be >= 1, got {tuple(widths)}")
-        groups.setdefault((len(widths), max(widths)), []).append(position)
+    count = len(partitions)
+    # TAM count of every partition, and every TAM width, partition after
+    # partition.  Widths are wire counts: int32 halves the largest array.
+    tams = np.fromiter(map(len, partitions), dtype=np.int64, count=count)
+    widths = np.fromiter(
+        itertools.chain.from_iterable(partitions),
+        dtype=np.int32,
+        count=int(tams.sum()),
+    )
+    _check_partitions(partitions, tams, widths)
 
-    with obs.span("kernel.schedule-batch", partitions=len(partitions)):
-        _schedule_groups(table, partitions, groups, makespans)
+    makespans = np.zeros(count, dtype=np.int64)
+    with obs.span("kernel.schedule-batch", partitions=count):
+        if count and table.core_names:
+            _schedule_groups(table, tams, widths, makespans)
     return makespans
+
+
+def _check_partitions(
+    partitions: Sequence[tuple[int, ...]],
+    tams: np.ndarray,
+    widths: np.ndarray,
+) -> None:
+    """Raise for the first partition with no TAM or a width below 1."""
+    empty = np.flatnonzero(tams == 0)
+    first = int(empty[0]) if empty.size else len(partitions)
+    narrow = np.flatnonzero(widths < 1)
+    if narrow.size:
+        # The first cumulative TAM count past a flat index names the
+        # partition holding it.
+        ends = np.cumsum(tams)
+        position = int(np.searchsorted(ends, narrow[0], side="right"))
+        if position < first:
+            raise ValueError(
+                f"TAM widths must be >= 1, got {tuple(partitions[position])}"
+            )
+    if empty.size:
+        raise ValueError("at least one TAM is required")
 
 
 def _schedule_groups(
     table: TimeTable,
-    partitions: Sequence[tuple[int, ...]],
-    groups: dict[tuple[int, int], list[int]],
+    tams: np.ndarray,
+    widths: np.ndarray,
     makespans: np.ndarray,
 ) -> None:
-    sentinel = np.iinfo(np.int64).max
-    for (num_tams, widest), positions in groups.items():
-        widths_arr = np.array(
-            [partitions[p] for p in positions], dtype=np.int64
-        )
-        unique_widths = np.unique(widths_arr)
-        # (cores, unique widths) time matrix; resolving the rows up
-        # front also triggers any lazy fills behind ``time_of`` once.
-        time_mat = np.array(
-            [table.row(int(w)) for w in unique_widths], dtype=np.int64
-        ).T
-        width_idx = np.searchsorted(unique_widths, widths_arr)
+    starts = np.cumsum(tams)
+    starts -= tams
+    # One time row per width in use, flattened: the time of core ``c``
+    # at width ``w`` sits at ``offset_of[w] + c``.
+    used, rank_of = _dense_ranks(widths)
+    offset_of = rank_of * len(table.core_names)
+    times = np.array(
+        [table.row(w) for w in used.tolist()], dtype=np.int64
+    ).ravel()
+    # The longest-first order of every widest width in use.
+    widest = np.maximum.reduceat(widths, starts)
+    widest_used, order_of = _dense_ranks(widest)
+    orders = np.array(
+        [table.order(w) for w in widest_used.tolist()], dtype=np.int32
+    )
+    for num_tams in np.flatnonzero(np.bincount(tams)).tolist():
+        offsets = np.arange(num_tams)
+        members = np.flatnonzero(tams == num_tams)
+        for low in range(0, members.size, _CHUNK):
+            chunk = members[low : low + _CHUNK]
+            size = chunk.size
+            # (partitions, tams) offsets into ``times``; (cores,
+            # partitions) core index placed at each step.
+            base = offset_of.take(widths.take(starts[chunk, None] + offsets))
+            steps = orders.take(order_of.take(widest.take(chunk)), axis=0).T
+            loads = np.zeros((size, num_tams), dtype=np.int64)
+            flat_loads = loads.reshape(-1)
+            row_starts = np.arange(size) * num_tams
+            for cores in steps:
+                finish = loads + times.take(base + cores[:, None])
+                # Flat index of each partition's first earliest finish.
+                best = finish.argmin(axis=1)
+                best += row_starts
+                flat_loads[best] = finish.reshape(-1).take(best)
+            makespans[chunk] = loads.max(axis=1)
 
-        count = len(positions)
-        loads = np.zeros((count, num_tams), dtype=np.int64)
-        current = np.zeros(count, dtype=np.int64)
-        rows = np.arange(count)
-        for core in table.order(widest):
-            finish = loads + time_mat[core][width_idx]
-            span = np.maximum(current[:, None], finish)
-            span_min = span.min(axis=1, keepdims=True)
-            masked = np.where(span == span_min, finish, sentinel)
-            best = np.argmin(masked, axis=1)
-            chosen = finish[rows, best]
-            loads[rows, best] = chosen
-            current = np.maximum(current, chosen)
-        makespans[positions] = loads.max(axis=1)
+
+def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values`` ascending, and a value -> rank array.
+
+    ``values`` are TAM widths, small non-negative ints, so a dense map
+    indexed by value is cheaper than sorting them.
+    """
+    used = np.flatnonzero(np.bincount(values))
+    rank_of = np.zeros(int(used[-1]) + 1, dtype=np.int64)
+    rank_of[used] = np.arange(used.size)
+    return used, rank_of
 
 
 def build_architecture(

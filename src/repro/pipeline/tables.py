@@ -45,11 +45,8 @@ class LookupTables:
     ) -> None:
         self.compression = compression
         self.width_budget = width_budget
+        self._analyses = analyses
         self._rows = {name: self._row(analysis) for name, analysis in analyses.items()}
-        self._useful = {
-            name: analysis.core.max_useful_wrapper_chains
-            for name, analysis in analyses.items()
-        }
         self._configs: dict[str, list[CoreConfig | None]] = {
             name: [None] * width_budget for name in analyses
         }
@@ -106,7 +103,9 @@ class LookupTables:
         return CoreConfig(
             core_name=name,
             uses_compression=False,
-            wrapper_chains=min(pick.tam_width, self._useful[name]),
+            wrapper_chains=min(
+                pick.tam_width, self._analyses[name].core.max_useful_wrapper_chains
+            ),
             code_width=None,
             test_time=pick.test_time,
             volume=pick.volume,

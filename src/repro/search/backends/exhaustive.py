@@ -1,10 +1,11 @@
 """Exhaustive backend: schedule every partition, keep the best.
 
-Every partition goes through the vectorized batch kernel
-(:func:`~repro.core.scheduler.schedule_makespans_batch`); the first
-minimum in enumeration order wins, the tie-break of the scalar loop
-it replaced (pinned by the golden fingerprints and the scheduler
-differential tests).
+Every partition goes through one call of the batch list scheduler
+(:func:`~repro.core.scheduler.schedule_makespans_batch`), which
+schedules the partitions of each TAM count together, whatever their
+order.  The makespans come back in enumeration order and the first
+minimum wins, the tie-break of the scalar loop it replaced (pinned by
+the golden fingerprints and the scheduler differential tests).
 """
 
 from __future__ import annotations

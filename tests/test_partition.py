@@ -1,8 +1,15 @@
 """Unit tests for partition enumeration and the architecture search."""
 
+import gc
+import tracemalloc
+
 import pytest
 
-from repro.core.partition import count_partitions, partitions_list
+from repro.core.partition import (
+    AUTO_PARTITION_LIMIT,
+    count_partitions,
+    partitions_list,
+)
 from repro.search import run_search
 
 
@@ -50,6 +57,39 @@ class TestIterPartitions:
     def test_no_duplicates(self):
         partitions = partitions_list(15, 5)
         assert len(partitions) == len(set(partitions))
+
+    def test_count_is_memoized(self):
+        count_partitions(97, 5, 2)
+        hits = count_partitions.cache_info().hits
+        assert count_partitions(97, 5, 2) == len(partitions_list(97, 5, 2))
+        # Once for the call above, once inside partitions_list.
+        assert count_partitions.cache_info().hits == hits + 2
+
+    def test_count_rejects_what_enumeration_rejects(self):
+        for args in ((0, 1, 1), (4, 0, 1), (4, 2, 0)):
+            with pytest.raises(ValueError):
+                count_partitions(*args)
+
+    def test_long_lists_are_not_kept(self):
+        """Lists past AUTO_PARTITION_LIMIT are not memoized.
+
+        W=80 with six parts is 69,624 tuples, about 6 MiB that a memo
+        would keep after the caller dropped them.
+        """
+        assert count_partitions(80, 6) > AUTO_PARTITION_LIMIT
+        partitions_list(80, 5)  # below the limit: memoized, not measured
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(partitions_list(80, 6)) == count_partitions(80, 6)
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before <= 2**20, after - before
+
+    def test_short_lists_are_memoized(self):
+        assert partitions_list(24, 6) is partitions_list(24, 6)
 
     def test_count_matches_enumeration_on_full_grid(self):
         # The closed-form counter and the enumeration must agree

@@ -30,16 +30,18 @@ from __future__ import annotations
 
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.compression.cubes import generate_cubes
 from repro.compression.estimator import (
+    DEFAULT_SAMPLES,
+    _sampled_target_groups,
     estimate_codewords,
     estimate_codewords_batch,
     estimate_slice_costs,
-    estimate_slice_costs_reference,
 )
 from repro.compression.hotpath import (
     exact_codeword_total,
@@ -47,10 +49,12 @@ from repro.compression.hotpath import (
     symbol_table,
 )
 from repro.compression.selective import (
+    GROUP_COPY_THRESHOLD,
     code_parameters,
+    encode_slice,
     slice_costs,
-    slice_costs_reference,
 )
+from repro.core import scheduler
 from repro.core.partition import partitions_list
 from repro.core.scheduler import (
     ScheduleOutcome,
@@ -137,6 +141,19 @@ class TestExactKernelsOnBenchmarks:
             exact_codeword_totals(cubes, [design], symbols=bad)
 
 
+def slice_costs_reference(slices: np.ndarray) -> np.ndarray:
+    """Scalar reference for ``slice_costs`` via real codeword lists.
+
+    Encodes every slice with ``encode_slice`` and counts the codewords:
+    slow, but derived from the codec itself rather than from another
+    array formulation.
+    """
+    arr = np.asarray(slices, dtype=np.int8)
+    if arr.ndim == 3:
+        arr = arr.reshape(-1, arr.shape[-1])
+    return np.array([len(encode_slice(row)) for row in arr], dtype=np.int64)
+
+
 def test_slice_costs_match_encode_reference_on_fuzz_cores():
     """Vectorized slice costs == per-slice ``encode_slice`` ground truth.
 
@@ -163,6 +180,31 @@ def test_slice_costs_match_encode_reference_on_fuzz_cores():
 # ---------------------------------------------------------------------------
 # Sampled estimator.
 # ---------------------------------------------------------------------------
+
+
+def estimate_slice_costs_reference(
+    core, design, *, samples: int = DEFAULT_SAMPLES
+) -> np.ndarray:
+    """Scalar reference for ``estimate_slice_costs``.
+
+    Replays the identical random draws, then accounts the group costs
+    with plain Python loops.
+    """
+    if design.scan_in_max == 0:
+        return np.ones(samples, dtype=np.int64)
+    targets, group_ids, _ = _sampled_target_groups(core, design, samples)
+    costs = np.empty(samples, dtype=np.int64)
+    cursor = 0
+    for index, count in enumerate(targets.tolist()):
+        per_group: dict[int, int] = {}
+        for group in group_ids[cursor : cursor + count].tolist():
+            per_group[group] = per_group.get(group, 0) + 1
+        cursor += count
+        cost = 1
+        for hits in per_group.values():
+            cost += 2 if hits >= GROUP_COPY_THRESHOLD else hits
+        costs[index] = cost
+    return costs
 
 
 class TestEstimatorDifferential:
@@ -347,14 +389,40 @@ def reference_schedule_cores(core_names, widths, time_of) -> ScheduleOutcome:
     )
 
 
-def _random_table(rng):
-    names = [f"c{i}" for i in range(rng.randint(1, 12))]
+def _random_table(rng, low=1, high=400, max_cores=12):
+    names = [f"c{i}" for i in range(rng.randint(1, max_cores))]
     times = {
-        (name, w): rng.randint(1, 400)
+        (name, w): rng.randint(low, high)
         for name in names
         for w in range(1, 33)
     }
     return names, (lambda name, w: times[(name, w)])
+
+
+def _random_partitions(rng, count, tams=None):
+    """``count`` width vectors in no particular order, some repeated.
+
+    Widths are unsorted and drawn independently, so one TAM count holds
+    several widest widths; ``tams`` fixes the TAM count of them all.
+    """
+    out = []
+    for _ in range(count):
+        if out and rng.random() < 0.1:
+            out.append(rng.choice(out))
+            continue
+        size = tams or rng.randint(1, 6)
+        out.append(tuple(rng.randint(1, 32) for _ in range(size)))
+    return out
+
+
+def _reference_makespans(names, partitions, time_of):
+    return np.array(
+        [
+            reference_schedule_cores(names, p, time_of).makespan
+            for p in partitions
+        ],
+        dtype=np.int64,
+    )
 
 
 class TestSchedulerDifferential:
@@ -410,12 +478,92 @@ class TestSchedulerDifferential:
                 partitions_list(total, min(len(names), 6), 1)
             )
 
+    def test_zero_and_tied_times(self):
+        """Times of 0..3 tie often; both kernels keep the first minimum."""
+        for seed in range(FUZZ_SEEDS):
+            rng = random.Random(41_000 + seed)
+            names, time_of = _random_table(rng, low=0, high=3)
+            table = TimeTable(names, time_of)
+            parts = list(partitions_list(rng.randint(1, 20), 6, 1))
+            parts += _random_partitions(rng, 40)
+            batch = schedule_makespans_batch(table, parts)
+            ref = _reference_makespans(names, parts, time_of)
+            assert np.array_equal(batch, ref), seed
+            for widths in parts[:: max(1, len(parts) // 20)]:
+                expected = reference_schedule_cores(names, widths, time_of)
+                assert schedule_cores_indexed(table, widths) == expected, (
+                    seed,
+                    widths,
+                )
+
+    def test_unsorted_and_duplicate_partitions(self):
+        """Any width vectors, in any order, repeated, mixed TAM counts."""
+        for seed in range(FUZZ_SEEDS):
+            rng = random.Random(42_000 + seed)
+            names, time_of = _random_table(rng)
+            table = TimeTable(names, time_of)
+            parts = _random_partitions(rng, 60)
+            batch = schedule_makespans_batch(table, parts)
+            ref = _reference_makespans(names, parts, time_of)
+            assert np.array_equal(batch, ref), seed
+
+    def test_more_partitions_than_one_chunk(self):
+        """A TAM count holding more partitions than one pass advances."""
+        for seed in range(max(1, FUZZ_SEEDS // 12)):
+            rng = random.Random(43_000 + seed)
+            names, time_of = _random_table(rng, max_cores=6)
+            table = TimeTable(names, time_of)
+            parts = _random_partitions(
+                rng, 2 * scheduler._CHUNK + rng.randint(1, 300),
+                tams=rng.randint(2, 5),
+            )
+            parts += _random_partitions(rng, rng.randint(1, 300))
+            rng.shuffle(parts)
+            batch = schedule_makespans_batch(table, parts)
+            ref = _reference_makespans(names, parts, time_of)
+            assert np.array_equal(batch, ref), seed
+
+    def test_empty_batch(self):
+        table = TimeTable(["a"], lambda n, w: w)
+        assert schedule_makespans_batch(table, []).tolist() == []
+        no_cores = TimeTable([], lambda n, w: w)
+        assert schedule_makespans_batch(no_cores, [(3, 1)]).tolist() == [0]
+
     def test_batch_rejects_bad_widths(self):
         table = TimeTable(["a"], lambda n, w: w)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one TAM"):
             schedule_makespans_batch(table, [()])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"got \(2, 0\)"):
             schedule_makespans_batch(table, [(2, 0)])
+        # The first bad partition decides the message, as in a loop of
+        # schedule_cores_indexed calls.
+        with pytest.raises(ValueError, match=r"got \(3, -1\)"):
+            schedule_makespans_batch(table, [(4,), (3, -1), (), (0,)])
+        with pytest.raises(ValueError, match="at least one TAM"):
+            schedule_makespans_batch(table, [(4,), (), (3, -1)])
+
+    def test_batch_transient_memory_is_bounded(self):
+        """d2758 at W=64: 26,207 partitions in at most 4 MiB of temporaries."""
+        soc = load_design("d2758")
+        tables = LookupTables(
+            {
+                core.name: analysis_for(core, mode="exact")
+                for core in soc.cores
+            },
+            "per-core",
+            64,
+        )
+        table = TimeTable([core.name for core in soc.cores], tables.time_of)
+        parts = partitions_list(64, 6, 1)
+        schedule_makespans_batch(table, parts)  # fill the table rows
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            schedule_makespans_batch(table, parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 4 * 2**20, peak - before
 
     def test_on_benchmark_tables(self):
         """Same checks over real DSE-backed time tables (d695 cores)."""
