@@ -10,7 +10,7 @@ how close both sit to the bandwidth lower bound.
 from conftest import run_once
 
 from repro.core.bus import optimize_bus
-from repro.core.optimizer import optimize_soc
+from repro.pipeline import RunConfig, plan
 from repro.reporting.tables import format_table
 from repro.soc.industrial import industrial_system
 
@@ -21,8 +21,8 @@ def _study():
     soc = industrial_system("System2")
     rows = []
     for width in WIDTHS:
-        tam = optimize_soc(soc, width, compression=True)
-        bus = optimize_bus(soc, width, compression=True)
+        tam = plan(soc, width, RunConfig(compression="per-core"))
+        bus = optimize_bus(soc, width, compression="per-core")
         rows.append(
             {
                 "width": width,

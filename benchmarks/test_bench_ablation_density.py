@@ -8,7 +8,7 @@ the crossover, explaining the d695-vs-System gap quantitatively.
 
 from conftest import run_once
 
-from repro.core.optimizer import optimize_soc
+from repro.pipeline import RunConfig, plan
 from repro.reporting.tables import format_table
 from repro.soc.core import Core
 from repro.soc.soc import Soc
@@ -36,9 +36,9 @@ def _sweep():
     rows = []
     for density in DENSITIES:
         soc = _soc_at_density(density)
-        plain = optimize_soc(soc, 16, compression=False)
-        packed = optimize_soc(soc, 16, compression=True)
-        auto = optimize_soc(soc, 16, compression="auto")
+        plain = plan(soc, 16, RunConfig(compression="none"))
+        packed = plan(soc, 16, RunConfig(compression="per-core"))
+        auto = plan(soc, 16, RunConfig(compression="auto"))
         rows.append(
             {
                 "density": density,

@@ -10,15 +10,15 @@ test-time gain.
 from conftest import run_once
 
 from repro.core.hardware import architecture_hardware_cost, decompressor_cost
-from repro.core.optimizer import optimize_soc
+from repro.pipeline import RunConfig, plan
 from repro.reporting.tables import format_table
 from repro.soc.industrial import industrial_system
 
 
 def _plan():
     soc = industrial_system("System2")
-    plain = optimize_soc(soc, 32, compression=False)
-    packed = optimize_soc(soc, 32, compression=True)
+    plain = plan(soc, 32, RunConfig(compression="none"))
+    packed = plan(soc, 32, RunConfig(compression="per-core"))
     return soc, plain, packed
 
 

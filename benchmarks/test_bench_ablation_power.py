@@ -12,7 +12,7 @@ Two effects, both extensions of the paper:
 
 from conftest import run_once
 
-from repro.core.optimizer import optimize_soc_constrained
+from repro.pipeline import RunConfig, plan
 from repro.power.model import power_table
 from repro.reporting.tables import format_table
 from repro.soc.industrial import industrial_system
@@ -28,12 +28,8 @@ def _sweep():
     # so budgets below ~0.4x are infeasible under the flat model.
     for fraction in (1.0, 0.65, 0.5, 0.4):
         budget = top * fraction
-        plain = optimize_soc_constrained(
-            soc, 32, compression=False, power_budget=budget
-        )
-        packed = optimize_soc_constrained(
-            soc, 32, compression=True, power_budget=budget
-        )
+        plain = plan(soc, 32, RunConfig(compression="none", power_budget=budget))
+        packed = plan(soc, 32, RunConfig(compression="per-core", power_budget=budget))
         rows.append(
             {
                 "fraction": fraction,

@@ -9,7 +9,7 @@ defeat selective encoding).
 
 from conftest import run_once
 
-from repro.core.optimizer import optimize_soc
+from repro.pipeline import RunConfig, plan
 from repro.explore.dse import analysis_for
 from repro.explore.selection import select_technique
 from repro.reporting.tables import format_table
@@ -39,9 +39,9 @@ def _study():
         choice = select_technique(analysis, 8)
         per_density.append((density, choice))
     d695 = load_benchmark("d695")
-    fixed = optimize_soc(d695, 24, compression=True)
-    auto = optimize_soc(d695, 24, compression="auto")
-    select = optimize_soc(d695, 24, compression="select")
+    fixed = plan(d695, 24, RunConfig(compression="per-core"))
+    auto = plan(d695, 24, RunConfig(compression="auto"))
+    select = plan(d695, 24, RunConfig(compression="select"))
     return per_density, fixed, auto, select
 
 

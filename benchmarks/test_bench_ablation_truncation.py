@@ -10,7 +10,7 @@ while the uncompressed one sheds coverage.
 
 from conftest import run_once
 
-from repro.core.optimizer import optimize_soc
+from repro.pipeline import RunConfig, plan
 from repro.quality.truncation import truncate_for_depth
 from repro.reporting.tables import format_table
 from repro.soc.industrial import industrial_system
@@ -18,8 +18,8 @@ from repro.soc.industrial import industrial_system
 
 def _study():
     soc = industrial_system("System2")
-    plain = optimize_soc(soc, 32, compression=False)
-    packed = optimize_soc(soc, 32, compression=True)
+    plain = plan(soc, 32, RunConfig(compression="none"))
+    packed = plan(soc, 32, RunConfig(compression="per-core"))
     rows = []
     for depth_fraction in (1.0, 0.5, 0.25, 0.12):
         depth = int(plain.test_time * depth_fraction)

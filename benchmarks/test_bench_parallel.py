@@ -20,7 +20,7 @@ import time
 
 from conftest import run_once
 
-from repro.core.optimizer import optimize_soc
+from repro.pipeline import RunConfig, plan
 from repro.explore.cache import AnalysisDiskCache
 from repro.explore.dse import clear_analysis_cache
 from repro.reporting.tables import format_table
@@ -34,7 +34,7 @@ def _plan(soc, **perf):
     # Greedy partitioning keeps the (uncached) SOC-level search out of
     # the measurement, so the rows isolate the per-core analysis cost.
     clear_analysis_cache()
-    return optimize_soc(soc, WIDTH, strategy="greedy", **perf)
+    return plan(soc, WIDTH, RunConfig(strategy="greedy", **perf))
 
 
 def _timed(fn, *args, **kwargs):

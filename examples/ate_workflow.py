@@ -80,7 +80,7 @@ def main() -> None:
             ),
         ),
     )
-    plan = repro.optimize_soc(soc, 16, compression="select")
+    plan = repro.plan(soc, 16, repro.RunConfig(compression="select"))
     ate = repro.Ate(channels=16, memory_depth=6_000, clock_hz=25e6)
     fit = ate.depth_for_schedule(plan.test_time)
     print(
@@ -102,7 +102,7 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # 4. Alternative transport: one shared bus instead of TAMs.
-    bus = optimize_bus(soc, 16, compression=True)
+    bus = optimize_bus(soc, 16, compression="per-core")
     print(
         f"4. shared 16-bit bus: {bus.test_time:,} cycles "
         f"(rates {bus.rates}, {bus.tightness:.2f}x its bandwidth bound) "

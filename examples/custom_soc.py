@@ -64,7 +64,7 @@ def main() -> None:
 
     print("TAM width sweep (auto compression, each core keeps what pays):")
     for width in (8, 12, 16, 24, 32):
-        plan = repro.optimize_soc(soc, width, compression="auto")
+        plan = repro.plan(soc, width, repro.RunConfig(compression="auto"))
         compressed = sum(
             1 for s in plan.architecture.scheduled if s.config.uses_compression
         )
@@ -76,12 +76,16 @@ def main() -> None:
 
     budget = 16
     print(f"decompressor placement comparison at a {budget}-wire budget:")
-    plans = {
-        "(a) no TDC": repro.optimize_soc(soc, budget, compression=False),
-        "(c) per-core TDC": repro.optimize_soc(soc, budget, compression=True),
-        "(b) per-TAM TDC": repro.optimize_per_tam(soc, budget),
-        "soc-level TDC": optimize_soc_level_decompressor(soc, budget),
+    placements = {
+        "(a) no TDC": "none",
+        "(c) per-core TDC": "per-core",
+        "(b) per-TAM TDC": "per-tam",
     }
+    plans = {
+        label: repro.plan(soc, budget, repro.RunConfig(compression=mode))
+        for label, mode in placements.items()
+    }
+    plans["soc-level TDC"] = optimize_soc_level_decompressor(soc, budget)
     for label, plan in plans.items():
         print(
             f"  {label:<17}: {plan.test_time:>8,} cycles, "
@@ -90,7 +94,7 @@ def main() -> None:
         )
     print()
 
-    best = repro.optimize_soc(soc, budget, compression="auto")
+    best = repro.plan(soc, budget, repro.RunConfig(compression="auto"))
     print(architecture_summary(best.architecture))
     print(best.architecture.render_gantt())
 

@@ -64,9 +64,7 @@ def main() -> None:
     ]
 
     for width in (16, 24, 32):
-        plan = optimize_hierarchical(
-            "bigchip", children + top_cores, width, compression=True
-        )
+        plan = optimize_hierarchical("bigchip", children + top_cores, width)
         print(
             f"parent W={width:>2}: {plan.test_time:>9,} cycles on TAMs "
             f"{plan.tam_widths} "

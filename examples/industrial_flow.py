@@ -32,8 +32,8 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for width in (16, 32, 48, 64):
-        plain = repro.optimize_soc(soc, width, compression=False)
-        packed = repro.optimize_soc(soc, width, compression=True)
+        plain = repro.plan(soc, width, repro.RunConfig(compression="none"))
+        packed = repro.plan(soc, width, repro.RunConfig(compression="per-core"))
         print(
             f"{width:>6} {plain.test_time:>14,} {packed.test_time:>13,} "
             f"{plain.test_time / packed.test_time:>8.1f}x "
@@ -44,7 +44,7 @@ def main() -> None:
     print()
 
     # Detail of the W=32 compressed plan.
-    packed = repro.optimize_soc(soc, 32, compression=True)
+    packed = repro.plan(soc, 32, repro.RunConfig(compression="per-core"))
     print("compressed plan at W_TAM = 32:")
     print(packed.architecture.render_gantt())
     print()
@@ -69,7 +69,7 @@ def main() -> None:
     # The introduction's motivation: tester memory.  Check both plans
     # against a 20 MHz, 64 Mvector ATE.
     ate = repro.Ate(channels=32, memory_depth=64_000_000)
-    plain = repro.optimize_soc(soc, 32, compression=False)
+    plain = repro.plan(soc, 32, repro.RunConfig(compression="none"))
     for label, plan in (("no TDC", plain), ("with TDC", packed)):
         fit = ate.depth_for_schedule(plan.test_time)
         verdict = "fits" if fit.fits else "DOES NOT FIT"

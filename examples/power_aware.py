@@ -15,7 +15,6 @@ expected session time on bad dies.
 
 import repro
 from repro.core.abort_on_fail import expected_improvement
-from repro.core.optimizer import optimize_soc_constrained
 from repro.power.model import core_test_power, power_table
 from repro.reporting.profile import render_power_profile, render_utilization
 
@@ -38,12 +37,11 @@ def main() -> None:
         "also a power technique\n"
     )
 
+    plain = repro.RunConfig(compression="none")
     print("power budget sweep at W_TAM = 32 (no TDC):")
     for fraction in (1.0, 0.6, 0.45, 0.4):
         budget = total * fraction
-        plan = optimize_soc_constrained(
-            soc, 32, compression=False, power_budget=budget
-        )
+        plan = repro.plan(soc, 32, plain.replace(power_budget=budget))
         print(
             f"  budget {fraction:>4.2f}x: {plan.test_time:>10,} cycles, "
             f"peak power {plan.peak_power:>8.0f}, "
@@ -53,9 +51,7 @@ def main() -> None:
 
     print("same budgets with TDC (majority fill barely notices them):")
     for fraction in (1.0, 0.4):
-        plan = optimize_soc_constrained(
-            soc, 32, compression=True, power_budget=total * fraction
-        )
+        plan = repro.plan(soc, 32, repro.RunConfig(power_budget=total * fraction))
         print(
             f"  budget {fraction:>4.2f}x: {plan.test_time:>10,} cycles, "
             f"peak power {plan.peak_power:>8.0f}"
@@ -64,22 +60,24 @@ def main() -> None:
 
     # Precedence: suppose ckt-4 repairs a fuse block that ckt-6 and
     # ckt-8 depend on, so their tests must wait for it.
-    chained = optimize_soc_constrained(
+    chained = repro.plan(
         soc,
         32,
-        compression=True,
-        precedence=(("ckt-4", "ckt-6"), ("ckt-4", "ckt-8")),
+        repro.RunConfig(precedence=(("ckt-4", "ckt-6"), ("ckt-4", "ckt-8"))),
     )
-    free = optimize_soc_constrained(soc, 32, compression=True)
+    # The same constrained flow with no constraint set.
+    free = repro.plan(
+        soc,
+        32,
+        repro.RunConfig(architecture="constrained", schedule="constrained"),
+    )
     print(
         f"precedence (ckt-4 before ckt-6/ckt-8): {chained.test_time:,} "
         f"cycles vs {free.test_time:,} unconstrained"
     )
     print(chained.architecture.render_gantt())
     print(render_utilization(chained.architecture))
-    tight = optimize_soc_constrained(
-        soc, 32, compression=False, power_budget=total * 0.45
-    )
+    tight = repro.plan(soc, 32, plain.replace(power_budget=total * 0.45))
     print(
         render_power_profile(
             tight.architecture, plain_power, budget=total * 0.45
@@ -91,7 +89,7 @@ def main() -> None:
     fail_prob = {
         core.name: min(0.4, 0.02 + core.scan_cells / 400_000) for core in soc
     }
-    plan = repro.optimize_soc(soc, 32, compression=True)
+    plan = repro.plan(soc, 32)
     before, after, reordered = expected_improvement(
         plan.architecture, fail_prob
     )

@@ -7,7 +7,9 @@ Run::
 
 Loads the embedded d695 benchmark, co-optimizes its test architecture at
 a 32-wire TAM budget in three modes (no TDC / per-core decompressors /
-auto bypass), and prints the resulting schedules.
+auto bypass), and prints the resulting schedules.  Every plan goes
+through ``repro.plan(soc, W, repro.RunConfig(...))``, the one entry
+point; the mode is a ``RunConfig`` field.
 """
 
 import repro
@@ -20,11 +22,11 @@ def main() -> None:
 
     width = 32
     for mode, label in (
-        (False, "without compression (Figure 4(a) style)"),
-        (True, "with per-core decompressors (the paper's proposal)"),
+        ("none", "without compression (Figure 4(a) style)"),
+        ("per-core", "with per-core decompressors (the paper's proposal)"),
         ("auto", "auto: each core keeps its faster option"),
     ):
-        plan = repro.optimize_soc(soc, width, compression=mode)
+        plan = repro.plan(soc, width, repro.RunConfig(compression=mode))
         print(f"--- {label} ---")
         print(
             f"test time: {plan.test_time} cycles | "
@@ -37,7 +39,7 @@ def main() -> None:
         print()
 
     # Inspect one core's configuration in the auto plan.
-    plan = repro.optimize_soc(soc, width, compression="auto")
+    plan = repro.plan(soc, width, repro.RunConfig(compression="auto"))
     config = plan.architecture.config_for("s38417")
     if config.uses_compression:
         print(

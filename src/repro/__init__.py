@@ -12,9 +12,13 @@ Quickstart::
     import repro
 
     soc = repro.load_design("d695")
-    plan = repro.optimize_soc(soc, tam_width=32, compression=True)
+    plan = repro.plan(soc, 32, repro.RunConfig(compression="per-core"))
     print(plan.test_time, plan.tam_widths)
     print(plan.architecture.render_gantt())
+
+:func:`plan` is the one entry point: every flow -- no TDC, per-core or
+per-TAM decompressors, power and precedence constraints, packing --
+is a :class:`RunConfig` field.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
@@ -45,11 +49,6 @@ from repro.explore.cache import AnalysisDiskCache, resolve_cache
 from repro.explore.dse import CoreAnalysis, analysis_for, analyze_soc_cores
 from repro.parallel import parallel_map, resolve_jobs
 from repro.core.architecture import TestArchitecture, DecompressorPlacement
-from repro.core.optimizer import (
-    optimize_per_tam,
-    optimize_soc,
-    optimize_soc_constrained,
-)
 from repro.core.soclevel import optimize_soc_level_decompressor
 from repro.pipeline import (
     Pipeline,
@@ -120,9 +119,6 @@ __all__ = [
     "RunEvent",
     "Pipeline",
     "plan",
-    "optimize_soc",
-    "optimize_soc_constrained",
-    "optimize_per_tam",
     "optimize_soc_level_decompressor",
     "decompressor_cost",
     "optimal_schedule",

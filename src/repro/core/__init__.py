@@ -9,15 +9,13 @@ top-level TAM width (or ATE channel budget), jointly choose
 
 so that the SOC test time is minimized.
 
-Entry points:
-
-* :func:`repro.core.optimizer.optimize_soc` -- the four-step heuristic
-  with or without TDC (per-core decompressors);
-* :func:`repro.core.optimizer.optimize_per_tam` -- the decompressor-per-
-  TAM alternative of Figure 4(b);
-* :func:`repro.core.soclevel.optimize_soc_level_decompressor` -- the
-  SOC-level ("virtual TAM") decompressor architecture used as the
-  stand-in for the paper's comparator [18].
+The four-step flow itself runs through :func:`repro.pipeline.plan`
+(with or without TDC, per-core or per-TAM decompressors, under power
+and precedence constraints); this package holds the architecture
+model and the partitioning and scheduling steps it calls, plus
+:func:`repro.core.soclevel.optimize_soc_level_decompressor` -- the
+SOC-level ("virtual TAM") decompressor architecture used as the
+stand-in for the paper's comparator [18].
 """
 
 from repro.core.architecture import (
@@ -29,11 +27,6 @@ from repro.core.architecture import (
 )
 from repro.core.scheduler import schedule_cores
 from repro.core.partition import count_partitions, partitions_list
-from repro.core.optimizer import (
-    optimize_per_tam,
-    optimize_soc,
-    optimize_soc_constrained,
-)
 from repro.pipeline.result import PlanResult
 from repro.core.soclevel import optimize_soc_level_decompressor
 from repro.core.hardware import decompressor_cost, DecompressorCost
@@ -74,9 +67,6 @@ __all__ = [
     "partitions_list",
     "count_partitions",
     "PlanResult",
-    "optimize_soc",
-    "optimize_soc_constrained",
-    "optimize_per_tam",
     "optimize_soc_level_decompressor",
     "decompressor_cost",
     "DecompressorCost",

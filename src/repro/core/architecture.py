@@ -4,8 +4,8 @@ A :class:`TestArchitecture` is the complete answer the optimizer
 produces: the TAM partition, where every core sits, when it is tested,
 and with which wrapper/decompressor configuration.  It is deliberately a
 plain data object -- the optimization logic lives in
-:mod:`repro.core.scheduler`, :mod:`repro.core.partition` and
-:mod:`repro.core.optimizer`.
+:mod:`repro.core.scheduler`, :mod:`repro.core.partition` and the
+:mod:`repro.pipeline` stages that call them.
 """
 
 from __future__ import annotations

@@ -34,6 +34,10 @@ from repro.explore.dse import DEFAULT_GRID, Mode, analysis_for
 from repro.soc.soc import Soc
 
 
+#: Compression modes a bus plan supports.
+BUS_MODES: tuple[str, ...] = ("none", "per-core", "auto")
+
+
 @dataclass(frozen=True)
 class BusPlan:
     """A bus-based test transport plan."""
@@ -65,7 +69,7 @@ def optimize_bus(
     soc: Soc,
     bus_width: int,
     *,
-    compression: bool | str = True,
+    compression: str = "per-core",
     mode: Mode = "auto",
     samples: int = DEFAULT_SAMPLES,
     grid: int = DEFAULT_GRID,
@@ -73,13 +77,20 @@ def optimize_bus(
 ) -> BusPlan:
     """Plan a shared-bus test transport for ``soc``.
 
-    ``compression`` follows :func:`repro.core.optimizer.optimize_soc`
-    semantics (``True``/``False``/``"auto"``).
+    ``compression`` is one of :data:`BUS_MODES`, with the meaning the
+    same :class:`~repro.pipeline.config.RunConfig` modes have for TAM
+    plans: no decompressors, one per core, or per core with a bypass
+    where plain scan is faster.
     """
+    if compression not in BUS_MODES:
+        raise ValueError(
+            f"unknown compression mode {compression!r} for a bus plan; "
+            f"expected one of {', '.join(BUS_MODES)}"
+        )
     if bus_width < 1:
         raise ValueError(f"bus width must be >= 1, got {bus_width}")
     started = _time.perf_counter()
-    use_compression = compression not in (False, "none")
+    use_compression = compression != "none"
     auto = compression == "auto"
     analyses = {
         core.name: analysis_for(core, mode=mode, samples=samples, grid=grid)
@@ -175,9 +186,7 @@ def optimize_bus(
     return BusPlan(
         soc_name=soc.name,
         bus_width=bus_width,
-        compression="per-core" if use_compression and not auto else (
-            "auto" if auto else "none"
-        ),
+        compression=compression,
         rates=rates,
         schedule=best_schedule,
         lower_bound=bound,

@@ -36,10 +36,11 @@ from repro.core.architecture import (
     Tam,
     TestArchitecture,
 )
-from repro.core.optimizer import optimize_soc
 from repro.compression.selective import GROUP_COPY_THRESHOLD, code_parameters
 from repro.compression.estimator import DEFAULT_SAMPLES
 from repro.explore.dse import DEFAULT_GRID, Mode, analysis_for
+from repro.pipeline.config import RunConfig
+from repro.pipeline.pipeline import plan
 from repro.pipeline.result import PlanResult
 from repro.soc.soc import Soc
 from repro.wrapper.design import design_wrapper
@@ -115,14 +116,16 @@ def optimize_soc_level_decompressor(
             f"{ate_channels} ATE channels (max {addressable})"
         )
 
-    internal = optimize_soc(
+    internal = plan(
         soc,
         internal_width,
-        compression=False,
-        mode=mode,
-        samples=samples,
-        grid=grid,
-        max_tams=max_tams,
+        RunConfig(
+            compression="none",
+            mode=mode,
+            samples=samples,
+            grid=grid,
+            max_tams=max_tams,
+        ),
     )
     group_bits, code_width = code_parameters(internal_width)
 

@@ -450,17 +450,23 @@ class CoreAnalysis:
         ``compressed=False`` only the uncompressed points are evaluated
         (the width is then not marked covered); the lookup tables use
         this and batch the code widths through
-        :meth:`best_compressed_row` themselves.
+        :meth:`best_compressed_row` themselves.  Either way only the
+        uncompressed points not yet evaluated are designed, so a warm
+        analysis pays no wrapper design here.
         """
         if max_tam_width < 1:
             raise ValueError(f"TAM width must be >= 1, got {max_tam_width}")
         if self.is_complete_for(max_tam_width):
             return
-        # One batched BFD pass warms the wrapper cache for every width
-        # the loop below asks for.
-        design_wrappers_batch(self.core, range(1, max_tam_width + 1))
-        for w in range(1, max_tam_width + 1):
-            self.uncompressed_point(w)
+        missing = [
+            w for w in range(1, max_tam_width + 1) if w not in self._uncompressed
+        ]
+        if missing:
+            # One batched BFD pass warms the wrapper cache for every
+            # width the loop below asks for.
+            design_wrappers_batch(self.core, missing)
+            for w in missing:
+                self.uncompressed_point(w)
         if not compressed:
             return
         # The same one-batch prefix extension the lookup-table rows use.

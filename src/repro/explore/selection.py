@@ -15,7 +15,7 @@ repository provides:
   cubes, so estimator-mode industrial cores fall back to the first two).
 
 The selected configuration plugs into the SOC optimizer via
-``optimize_soc(..., compression="select")``.
+``plan(soc, W, RunConfig(compression="select"))``.
 
 Dictionary statistics (hit rates, compressed bits) depend only on the
 slice width ``m`` and the index width -- not on the TAM width, which

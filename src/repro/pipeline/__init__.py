@@ -19,12 +19,7 @@ Quick start::
     result = plan(soc, 32, RunConfig(compression="auto", jobs=4))
 """
 
-from repro.pipeline.config import (
-    COMPRESSION_MODES,
-    Compression,
-    RunConfig,
-    normalize_compression,
-)
+from repro.pipeline.config import COMPRESSION_MODES, Compression, RunConfig
 from repro.pipeline.events import LOGGER, EventRecorder, EventSink, RunEvent
 from repro.pipeline.pipeline import Pipeline, pipeline_for, plan
 from repro.pipeline.result import PlanResult
@@ -52,7 +47,6 @@ __all__ = [
     "COMPRESSION_MODES",
     "Compression",
     "RunConfig",
-    "normalize_compression",
     "LOGGER",
     "EventRecorder",
     "EventSink",

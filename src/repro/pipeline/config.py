@@ -1,14 +1,12 @@
 """The shared run configuration threading through every layer.
 
-Before this package existed, the co-optimization knobs (worker count,
+:class:`RunConfig` holds every co-optimization knob (worker count,
 cache location, estimator samples, evaluation grid, compression mode,
-power budget, ...) were re-threaded by hand through ``optimize_soc``,
-``optimize_soc_constrained``, ``optimize_per_tam``, the experiment
-drivers, and the CLI -- three parallel keyword chains that drifted
-apart.  :class:`RunConfig` consolidates all of them into one frozen
-value object that the :class:`~repro.pipeline.pipeline.Pipeline`
-threads through its stages, the CLI builds once per invocation, and
-the experiment drivers forward verbatim.
+power budget, ...) in one frozen value object.  :func:`repro.plan`
+routes it to a pipeline flavor, the
+:class:`~repro.pipeline.pipeline.Pipeline` threads it through its
+stages, the CLI builds it once per invocation, and the experiment
+drivers and the planning service forward it verbatim.
 """
 
 from __future__ import annotations
@@ -26,9 +24,10 @@ if TYPE_CHECKING:
     from repro.search.backend import BackendConfig
     from repro.soc.core import Core
 
-#: Accepted compression placements/modes.  The first four come from
-#: :func:`normalize_compression`; "per-tam" selects the Figure 4(b)
-#: flow and is set by :func:`repro.core.optimizer.optimize_per_tam`.
+#: Accepted compression placements/modes: no TDC, the paper's per-core
+#: decompressors, per-core with a bypass where plain scan is faster,
+#: per-core technique selection, and the Figure 4(b) flow of one
+#: decompressor per TAM.
 Compression = Literal["none", "per-core", "auto", "select", "per-tam"]
 
 COMPRESSION_MODES: tuple[str, ...] = (
@@ -41,21 +40,6 @@ COMPRESSION_MODES: tuple[str, ...] = (
 
 #: Sentinel: "no cache argument given, resolve from the config".
 _UNSET: Any = object()
-
-
-def normalize_compression(compression: bool | str) -> Compression:
-    """Map the public ``compression`` argument to a canonical mode.
-
-    ``True`` means the paper's per-core decompressors; ``False`` the
-    no-TDC baseline.  String modes pass through after validation.
-    """
-    if compression is True:
-        return "per-core"
-    if compression is False:
-        return "none"
-    if compression in ("none", "per-core", "auto", "select"):
-        return compression  # type: ignore[return-value]
-    raise ValueError(f"unknown compression mode {compression!r}")
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,10 @@ brackets every stage with start/end events, collects per-stage wall
 clock, and folds the final context into a
 :class:`~repro.pipeline.result.PlanResult`.
 
-:func:`plan` is the one-call entry point: it routes a
+:func:`plan` is the one entry point: :func:`pipeline_for` routes a
 :class:`~repro.pipeline.config.RunConfig` to the matching built-in
-flavor (standard / constrained / per-TAM) and runs it.  The
-pre-pipeline entry points ``optimize_soc`` /
-``optimize_soc_constrained`` / ``optimize_per_tam`` are thin wrappers
-over these flavors and remain bit-identical to their original
-implementations (differentially tested).
+flavor (standard / constrained / per-TAM, or an explicit stage pair)
+and :func:`plan` runs it.
 """
 
 from __future__ import annotations
@@ -43,25 +40,6 @@ class Pipeline:
             raise ValueError("a pipeline needs at least one stage")
         self.stages = tuple(stages)
         self.name = name
-
-    # ------------------------------------------------------------------
-    # Built-in flavors.
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def standard(cls) -> "Pipeline":
-        """The paper's four-step flow (Figure 4(a)/(c), Tables 1-3)."""
-        return cls.from_registry("partition", "list", name="standard")
-
-    @classmethod
-    def constrained(cls) -> "Pipeline":
-        """Exhaustive partitioning + power/precedence-aware scheduling."""
-        return cls.from_registry("constrained", "constrained", name="constrained")
-
-    @classmethod
-    def per_tam(cls) -> "Pipeline":
-        """Figure 4(b): one decompressor per TAM, shared expanded width."""
-        return cls.from_registry("per-tam", "per-tam", name="per-tam")
 
     @classmethod
     def from_registry(
@@ -203,15 +181,32 @@ def _event_bridge(active: obs.Observability) -> EventSink:
     return bridge
 
 
+#: The built-in flavors, by their step-3/4 stage pair.  The name labels
+#: the run's span and its RunReport; any other pair is named
+#: ``"architecture+schedule"``.
+_FLAVORS = {
+    # The paper's four-step flow (Figure 4(a)/(c), Tables 1-3).
+    ("partition", "list"): "standard",
+    # Exhaustive partitioning + power/precedence-aware scheduling.
+    ("constrained", "constrained"): "constrained",
+    # Figure 4(b): one decompressor per TAM, shared expanded width.
+    ("per-tam", "per-tam"): "per-tam",
+}
+
+
 def pipeline_for(config: RunConfig) -> Pipeline:
     """The built-in pipeline flavor matching a configuration.
 
-    ``config.architecture`` / ``config.schedule`` (when not ``"auto"``)
-    select registered step-3/4 stages explicitly -- the packing flow is
-    ``architecture="packing", schedule="packing"`` -- overriding the
-    compression/constraint routing.  ``config.verify`` appends the
-    registered verify stage, so the plan is independently re-checked
-    before it leaves the pipeline.
+    ``config.compression == "per-tam"`` selects the per-TAM flavor, a
+    power budget, power table or precedence the constrained one, and
+    anything else the standard one.  ``config.architecture`` /
+    ``config.schedule`` (when not ``"auto"``) select registered
+    step-3/4 stages explicitly -- the packing flow is
+    ``architecture="packing", schedule="packing"``, and
+    ``architecture="constrained", schedule="constrained"`` is the
+    constrained flavor with no constraint set -- overriding that
+    routing.  ``config.verify`` appends the registered verify stage, so
+    the plan is independently re-checked before it leaves the pipeline.
     """
     if config.architecture != "auto" or config.schedule != "auto":
         if (config.architecture == "packing") != (config.schedule == "packing"):
@@ -220,16 +215,17 @@ def pipeline_for(config: RunConfig) -> Pipeline:
                 "selected together (the schedule stage materializes the "
                 "architecture stage's packed plan)"
             )
-        flavor = Pipeline.from_registry(
+        stages = (
             config.architecture if config.architecture != "auto" else "partition",
             config.schedule if config.schedule != "auto" else "list",
         )
     elif config.compression == "per-tam":
-        flavor = Pipeline.per_tam()
+        stages = ("per-tam", "per-tam")
     elif config.is_constrained:
-        flavor = Pipeline.constrained()
+        stages = ("constrained", "constrained")
     else:
-        flavor = Pipeline.standard()
+        stages = ("partition", "list")
+    flavor = Pipeline.from_registry(*stages, name=_FLAVORS.get(stages))
     if config.verify:
         return Pipeline(
             flavor.stages + (stage_factory("verify", "invariants")(),),

@@ -10,7 +10,7 @@ parent TAM width ``w`` granted to the child, the child runs its own
 internal test plan and exposes the resulting test time and ATE volume.
 
 :class:`ChildSocCore` computes that envelope by recursively invoking
-the flat co-optimizer on the child, and quacks enough like a per-core
+:func:`repro.pipeline.plan` on the child, and quacks enough like a per-core
 lookup for the parent planner (:func:`optimize_hierarchical`) to
 schedule children and ordinary cores side by side.
 """
@@ -43,13 +43,14 @@ class ChildSocCore:
     soc:
         The child design.
     compression:
-        Compression mode used *inside* the child when its plan is built.
+        Compression mode used *inside* the child when its plan is built
+        (a :class:`~repro.pipeline.config.RunConfig` mode).
     max_tams:
         TAM count limit for the child's internal architecture.
     """
 
     soc: Soc
-    compression: Union[bool, str] = True
+    compression: str = "per-core"
     max_tams: int | None = None
     _envelope: dict[int, tuple[int, int]] = field(default_factory=dict)
 
@@ -63,14 +64,10 @@ class ChildSocCore:
             raise ValueError(f"width must be >= 1, got {width}")
         cached = self._envelope.get(width)
         if cached is None:
-            from repro.core.optimizer import optimize_soc
+            from repro.pipeline import RunConfig, plan
 
-            result = optimize_soc(
-                self.soc,
-                width,
-                compression=self.compression,
-                max_tams=self.max_tams,
-            )
+            config = RunConfig(compression=self.compression, max_tams=self.max_tams)
+            result = plan(self.soc, width, config)
             cached = (result.test_time, result.test_data_volume)
             self._envelope[width] = cached
         return cached
@@ -83,6 +80,9 @@ class ChildSocCore:
 
 
 Member = Union[Core, ChildSocCore]
+
+#: Compression modes a parent plan applies to its ordinary cores.
+LEAF_MODES: tuple[str, ...] = ("none", "per-core", "auto")
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def optimize_hierarchical(
     members: Sequence[Member],
     tam_width: int,
     *,
-    compression: Union[bool, str] = True,
+    compression: str = "per-core",
     max_tams: int | None = None,
     min_tam_width: int = 1,
 ) -> HierarchicalPlan:
@@ -118,9 +118,15 @@ def optimize_hierarchical(
 
     Children are treated as monolithic tests whose duration depends on
     the width of the TAM they are granted (their internal plan);
-    ordinary cores go through the usual per-core lookup.  The parent
-    search enumerates TAM partitions and list-schedules the members.
+    ordinary cores go through the usual per-core lookup under
+    ``compression`` (one of :data:`LEAF_MODES`).  The parent search
+    enumerates TAM partitions and list-schedules the members.
     """
+    if compression not in LEAF_MODES:
+        raise ValueError(
+            f"unknown compression mode {compression!r} for leaf cores; "
+            f"expected one of {', '.join(LEAF_MODES)}"
+        )
     if not members:
         raise ValueError("cannot plan an empty hierarchy")
     if tam_width < 1:
@@ -140,20 +146,19 @@ def optimize_hierarchical(
         for member in members
         if isinstance(member, Core)
     }
-    comp = compression if compression is not True else "per-core"
 
     def time_of(label: str, width: int) -> int:
         member = by_name[label]
         if isinstance(member, ChildSocCore):
             return member.test_time(width)
         analysis = analyses[label]
-        if comp == "none" or comp is False:
+        if compression == "none":
             return analysis.uncompressed_point(width).test_time
         best = analysis.best_compressed_for_tam(width)
         plain = analysis.uncompressed_point(width).test_time
         if best is None:
             return plain
-        if comp == "auto":
+        if compression == "auto":
             return min(best.test_time, plain)
         return best.test_time
 
@@ -162,11 +167,11 @@ def optimize_hierarchical(
         if isinstance(member, ChildSocCore):
             return member.volume(width)
         analysis = analyses[label]
-        if comp == "none" or comp is False:
+        if compression == "none":
             return analysis.uncompressed_point(width).volume
         best = analysis.best_compressed_for_tam(width)
         if best is None or (
-            comp == "auto"
+            compression == "auto"
             and analysis.uncompressed_point(width).test_time < best.test_time
         ):
             return analysis.uncompressed_point(width).volume
@@ -202,10 +207,10 @@ def optimize_hierarchical(
             code_width = None
             chains = width
         else:
-            compressed = comp not in ("none", False) and _core_compressed(
-                member, width, analyses, comp
+            compressed = compression != "none" and _core_compressed(
+                member, width, analyses, compression
             )
-            code_width = _code_width(member, width, analyses, comp)
+            code_width = _code_width(member, width, analyses, compression)
             if compressed:
                 chains = analyses[label].best_compressed_for_tam(width).m
             else:
@@ -227,7 +232,7 @@ def optimize_hierarchical(
     architecture = TestArchitecture(
         soc_name=name,
         placement=DecompressorPlacement.PER_CORE
-        if comp not in ("none", False)
+        if compression != "none"
         else DecompressorPlacement.NONE,
         tams=tams,
         scheduled=tuple(scheduled),

@@ -17,6 +17,7 @@ from repro.core.architecture import (
     Tam,
     TestArchitecture,
 )
+from repro.verify import verify_architecture
 
 
 def _serial_arch(order, times):
@@ -155,8 +156,22 @@ class TestRatioRule:
 class TestOnRealPlan:
     def test_d695_plan_improves(self):
         soc = repro.load_design("d695")
-        plan = repro.optimize_soc(soc, 16, compression=False)
+        plan = repro.plan(soc, 16, repro.RunConfig(compression="none"))
         probs = {name: 0.02 + 0.01 * i for i, name in enumerate(soc.core_names)}
         before, after, reordered = expected_improvement(plan.architecture, probs)
         assert after <= before
+        assert reordered.test_time == plan.test_time
+
+    @pytest.mark.parametrize(
+        "design, compression", [("d695", "none"), ("System1", "per-core")]
+    )
+    def test_reordered_plan_verifies(self, design, compression):
+        """The reordered plan passes the independent invariant checker."""
+        soc = repro.load_design(design)
+        config = repro.RunConfig(compression=compression)
+        plan = repro.plan(soc, 16, config)
+        probs = {name: 0.02 + 0.01 * i for i, name in enumerate(soc.core_names)}
+        reordered = reorder_within_tams(plan.architecture, probs)
+        report = verify_architecture(reordered, soc=soc, config=config)
+        assert report.ok, report.summary()
         assert reordered.test_time == plan.test_time

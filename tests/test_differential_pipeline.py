@@ -1,8 +1,8 @@
-"""The historical entry points reproduce their golden plans.
+"""Every flow of ``plan()`` reproduces its golden plan on cold analyses.
 
-``optimize_soc``, ``optimize_soc_constrained``, ``optimize_per_tam`` and
-``plan`` each run here on cold analyses, and their exported result
-must match its fingerprint in ``tests/golden_plans.json`` (see
+The standard, constrained and per-TAM flows each run here through
+``plan(soc, W, RunConfig(...))`` on cold analyses, and their exported
+result must match its fingerprint in ``tests/golden_plans.json`` (see
 ``tests/test_golden_plans.py``, which computes the same plans on warm
 analyses shared across a design's flows).  The fingerprint covers the
 whole exported plan: architecture, search statistics, peak power,
@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.optimizer import (
-    optimize_per_tam,
-    optimize_soc,
-    optimize_soc_constrained,
-)
 from repro.pipeline import RunConfig, plan
 from repro.reporting.export import result_from_json, result_to_json
 from repro.soc.industrial import load_design
 from test_golden_plans import d695_precedence, fingerprint, golden
 
 ALL_DESIGNS = ("d695", "d2758", "System1", "System2", "System3", "System4")
+
+#: The constrained flow with no constraint set (exhaustive partition scan).
+CONSTRAINED = RunConfig(architecture="constrained", schedule="constrained")
 
 
 def _assert_golden(result, design, key):
@@ -35,45 +33,47 @@ def _assert_golden(result, design, key):
 @pytest.mark.parametrize("design", ALL_DESIGNS)
 def test_optimize_soc_bit_identical(design):
     soc = load_design(design)
-    _assert_golden(optimize_soc(soc, 16, compression="auto"), design, "auto@16")
+    _assert_golden(plan(soc, 16, RunConfig(compression="auto")), design, "auto@16")
 
 
 @pytest.mark.parametrize("compression", ["none", "per-core", "select"])
 def test_optimize_soc_modes_bit_identical(compression):
     soc = load_design("d695")
-    result = optimize_soc(soc, 16, compression=compression)
+    result = plan(soc, 16, RunConfig(compression=compression))
     _assert_golden(result, "d695", f"{compression}@16")
 
 
 def test_plan_entry_point_matches_legacy():
-    """The one-call plan() is the same flow as optimize_soc."""
+    """plan() without a config is the paper's per-core flow."""
     soc = load_design("d695")
-    _assert_golden(plan(soc, 16, RunConfig(compression="auto")), "d695", "auto@16")
+    _assert_golden(plan(soc, 16), "d695", "per-core@16")
 
 
 @pytest.mark.parametrize("design", ["d695", "System1"])
 def test_constrained_bit_identical(design):
     soc = load_design(design)
-    result = optimize_soc_constrained(soc, 12, power_budget=900.0)
+    result = plan(soc, 12, RunConfig(power_budget=900.0))
     _assert_golden(result, design, "power900@12")
 
 
 def test_constrained_unconstrained_bit_identical():
     """No constraints still means the exhaustive constrained scan."""
     soc = load_design("d695")
-    _assert_golden(optimize_soc_constrained(soc, 12), "d695", "constrained@12")
+    result = plan(soc, 12, CONSTRAINED)
+    _assert_golden(result, "d695", "constrained@12")
 
 
 def test_constrained_precedence_bit_identical():
     soc = load_design("d695")
-    result = optimize_soc_constrained(soc, 12, precedence=d695_precedence())
+    result = plan(soc, 12, RunConfig(precedence=d695_precedence()))
     _assert_golden(result, "d695", "precedence@12")
 
 
 @pytest.mark.parametrize("design", ["d695", "System1"])
 def test_per_tam_bit_identical(design):
     soc = load_design(design)
-    _assert_golden(optimize_per_tam(soc, 12), design, "per-tam@12")
+    result = plan(soc, 12, RunConfig(compression="per-tam"))
+    _assert_golden(result, design, "per-tam@12")
 
 
 @pytest.mark.parametrize(
@@ -91,7 +91,7 @@ def test_optimize_soc_errors_match_legacy(kwargs, tiny_soc):
     """Invalid input raises ValueError with the historical message."""
     width, message = kwargs.pop("width"), kwargs.pop("message")
     with pytest.raises(ValueError) as err:
-        optimize_soc(tiny_soc, width, **kwargs)
+        plan(tiny_soc, width, RunConfig(**kwargs))
     assert str(err.value) == message
 
 
@@ -109,13 +109,13 @@ def test_optimize_soc_errors_match_legacy(kwargs, tiny_soc):
 def test_constrained_errors_match_legacy(kwargs, tiny_soc):
     width, message = kwargs.pop("width"), kwargs.pop("message")
     with pytest.raises(ValueError) as err:
-        optimize_soc_constrained(tiny_soc, width, **kwargs)
+        plan(tiny_soc, width, CONSTRAINED.replace(**kwargs))
     assert str(err.value) == message
 
 
 def test_per_tam_errors_match_legacy(tiny_soc):
     with pytest.raises(ValueError) as err:
-        optimize_per_tam(tiny_soc, 2)
+        plan(tiny_soc, 2, RunConfig(compression="per-tam"))
     assert str(err.value) == "ATE channels (2) below minimum code width (3)"
 
 
@@ -126,9 +126,7 @@ def test_plan_result_json_round_trip(tiny_soc):
 
 
 def test_constrained_result_json_round_trip(tiny_soc):
-    result = optimize_soc_constrained(
-        tiny_soc, 6, power_budget=10_000.0
-    )
+    result = plan(tiny_soc, 6, RunConfig(power_budget=10_000.0))
     restored = result_from_json(result_to_json(result))
     assert restored == result
     assert restored.peak_power == result.peak_power
@@ -137,6 +135,6 @@ def test_constrained_result_json_round_trip(tiny_soc):
 
 
 def test_per_tam_result_json_round_trip(tiny_soc):
-    result = optimize_per_tam(tiny_soc, 6)
+    result = plan(tiny_soc, 6, RunConfig(compression="per-tam"))
     restored = result_from_json(result_to_json(result))
     assert restored == result

@@ -18,7 +18,7 @@ from repro.reporting.export import (
 @pytest.fixture(scope="module")
 def plan():
     soc = repro.load_design("d695")
-    return repro.optimize_soc(soc, 12, compression="auto")
+    return repro.plan(soc, 12, repro.RunConfig(compression="auto"))
 
 
 class TestExport:

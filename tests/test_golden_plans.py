@@ -35,7 +35,6 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 import pytest
 
-from repro.core.optimizer import optimize_per_tam, optimize_soc_constrained
 from repro.core.preemption import PreemptiveSchedule, schedule_preemptive
 from repro.core.robust import robust_plan
 from repro.pipeline import PlanResult, RunConfig, plan
@@ -113,7 +112,7 @@ def cases(design: str) -> Iterator[tuple[str, PlanResult]]:
 def _entry_point_cases(
     design: str, soc: Soc, base: RunConfig
 ) -> Iterator[tuple[str, PlanResult]]:
-    """W=12/16 plans through the historical entry points and strategies."""
+    """W=12/16 plans of the constrained and per-TAM flows and strategies."""
     auto = base.replace(compression="auto")
     yield "per-core@16", plan(soc, 16, base)
     yield "auto@16", plan(soc, 16, auto)
@@ -121,10 +120,8 @@ def _entry_point_cases(
     if design not in ("d695", "System1"):
         return
     yield "auto/greedy@16", plan(soc, 16, auto.replace(strategy="greedy"))
-    yield "power900@12", optimize_soc_constrained(
-        soc, 12, power_budget=900.0, use_cache=False
-    )
-    yield "per-tam@12", optimize_per_tam(soc, 12, use_cache=False)
+    yield "power900@12", plan(soc, 12, base.replace(power_budget=900.0))
+    yield "per-tam@12", plan(soc, 12, base.replace(compression="per-tam"))
     if design != "d695":
         return
     yield "none@16", plan(soc, 16, base.replace(compression="none"))
@@ -132,10 +129,9 @@ def _entry_point_cases(
     yield "auto/anneal(iterations=900,seed=5)@16", plan(
         soc, 16, auto.replace(strategy="anneal", search_opts=options)
     )
-    yield "constrained@12", optimize_soc_constrained(soc, 12, use_cache=False)
-    yield "precedence@12", optimize_soc_constrained(
-        soc, 12, precedence=d695_precedence(), use_cache=False
-    )
+    constrained = base.replace(architecture="constrained", schedule="constrained")
+    yield "constrained@12", plan(soc, 12, constrained)
+    yield "precedence@12", plan(soc, 12, base.replace(precedence=d695_precedence()))
 
 
 def d695_precedence() -> tuple[tuple[str, str], ...]:

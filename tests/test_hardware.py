@@ -9,7 +9,7 @@ from repro.core.hardware import (
     architecture_hardware_cost,
     decompressor_cost,
 )
-from repro.core.optimizer import optimize_per_tam, optimize_soc
+from repro.pipeline import RunConfig, plan
 from repro.soc.core import Core
 from repro.soc.soc import Soc
 
@@ -62,12 +62,12 @@ class TestArchitectureCost:
         return Soc(name="s", cores=cores)
 
     def test_uncompressed_architecture_costs_nothing(self, sparse_soc):
-        result = optimize_soc(sparse_soc, 8, compression=False)
+        result = plan(sparse_soc, 8, RunConfig(compression="none"))
         cost = architecture_hardware_cost(result.architecture)
         assert cost.gates == 0 and cost.flip_flops == 0
 
     def test_per_core_counts_every_core(self, sparse_soc):
-        result = optimize_soc(sparse_soc, 12, compression=True)
+        result = plan(sparse_soc, 12, RunConfig(compression="per-core"))
         compressed = [
             s for s in result.architecture.scheduled if s.config.uses_compression
         ]
@@ -79,7 +79,7 @@ class TestArchitectureCost:
         assert cost.gates == individual
 
     def test_per_tam_counts_once_per_tam(self, sparse_soc):
-        result = optimize_per_tam(sparse_soc, 9)
+        result = plan(sparse_soc, 9, RunConfig(compression="per-tam"))
         cost = architecture_hardware_cost(result.architecture)
         tams_used = {
             s.tam_index
@@ -92,5 +92,5 @@ class TestArchitectureCost:
         assert cost.gates > 0
 
     def test_returns_dataclass(self, sparse_soc):
-        result = optimize_soc(sparse_soc, 8, compression=True)
+        result = plan(sparse_soc, 8, RunConfig(compression="per-core"))
         assert isinstance(architecture_hardware_cost(result.architecture), DecompressorCost)

@@ -47,6 +47,10 @@ class TestChildSocCore:
     def test_volume_positive(self, child_soc):
         assert ChildSocCore(child_soc).volume(8) > 0
 
+    def test_child_mode_validated_by_run_config(self, child_soc):
+        with pytest.raises(ValueError, match="unknown compression mode"):
+            ChildSocCore(child_soc, compression="bogus").plan_at(8)
+
 
 class TestOptimizeHierarchical:
     def test_plan_covers_all_members(self, child_soc):
@@ -81,7 +85,7 @@ class TestOptimizeHierarchical:
     def test_flat_equals_hierarchy_of_one_level(self, child_soc):
         """Planning the child standalone = its envelope at full width."""
         child = ChildSocCore(child_soc)
-        flat = repro.optimize_soc(child_soc, 10, compression=True)
+        flat = repro.plan(child_soc, 10, repro.RunConfig(compression="per-core"))
         assert child.test_time(10) == flat.test_time
 
     def test_duplicate_names_rejected(self, child_soc):
@@ -100,9 +104,15 @@ class TestOptimizeHierarchical:
         wide = optimize_hierarchical("p", members, 16)
         assert wide.test_time <= narrow.test_time
 
+    @pytest.mark.parametrize("mode", ["bogus", "select", "per-tam", True])
+    def test_rejects_unsupported_leaf_compression(self, child_soc, mode):
+        members = [ChildSocCore(child_soc), _leaf("top1", 10, 9)]
+        with pytest.raises(ValueError, match="none, per-core, auto"):
+            optimize_hierarchical("p", members, 12, compression=mode)
+
     def test_no_compression_mode(self, child_soc):
         members = [
-            ChildSocCore(child_soc, compression=False),
+            ChildSocCore(child_soc, compression="none"),
             _leaf("top1", 10, 9),
         ]
         plan = optimize_hierarchical("p", members, 12, compression="none")

@@ -22,8 +22,8 @@ class TestD695Flow:
         soc = repro.load_design("d695")
         return (
             soc,
-            repro.optimize_soc(soc, 24, compression=False),
-            repro.optimize_soc(soc, 24, compression="auto"),
+            repro.plan(soc, 24, repro.RunConfig(compression="none")),
+            repro.plan(soc, 24, repro.RunConfig(compression="auto")),
         )
 
     def test_every_core_scheduled_once(self, plans):
@@ -68,7 +68,7 @@ class TestCompressedPlanIsDeliverable:
             seed=9,
         )
         soc = repro.Soc(name="one", cores=(core,))
-        plan = repro.optimize_soc(soc, 8, compression=True)
+        plan = repro.plan(soc, 8, repro.RunConfig(compression="per-core"))
         config = plan.architecture.config_for("deliver")
         assert config.uses_compression
 
@@ -91,14 +91,14 @@ class TestCompressedPlanIsDeliverable:
 class TestIndustrialFlow:
     def test_system2_compression_wins_big(self):
         soc = repro.load_design("System2")
-        plain = repro.optimize_soc(soc, 24, compression=False)
-        packed = repro.optimize_soc(soc, 24, compression=True)
+        plain = repro.plan(soc, 24, repro.RunConfig(compression="none"))
+        packed = repro.plan(soc, 24, repro.RunConfig(compression="per-core"))
         assert packed.test_time * 3 < plain.test_time
         assert packed.test_data_volume * 3 < plain.test_data_volume
 
     def test_hardware_overhead_small(self):
         soc = repro.load_design("System2")
-        packed = repro.optimize_soc(soc, 24, compression=True)
+        packed = repro.plan(soc, 24, repro.RunConfig(compression="per-core"))
         cost = architecture_hardware_cost(packed.architecture)
         assert cost.area_fraction(soc.gates) < 0.01
 
@@ -106,7 +106,7 @@ class TestIndustrialFlow:
 class TestAteIntegration:
     def test_schedule_fits_big_tester(self):
         soc = repro.load_design("d695")
-        plan = repro.optimize_soc(soc, 16, compression=False)
+        plan = repro.plan(soc, 16, repro.RunConfig(compression="none"))
         ate = repro.Ate(channels=16, memory_depth=50_000_000)
         assert ate.depth_for_schedule(plan.test_time).fits
         assert ate.seconds(plan.test_time) > 0
@@ -118,7 +118,7 @@ class TestSocFileRoundTripThroughOptimizer:
         path = tmp_path / "design.soc"
         repro.write_soc_file(soc, path)
         loaded = repro.parse_soc_file(path)
-        a = repro.optimize_soc(soc, 12, compression=False)
-        b = repro.optimize_soc(loaded, 12, compression=False)
+        a = repro.plan(soc, 12, repro.RunConfig(compression="none"))
+        b = repro.plan(loaded, 12, repro.RunConfig(compression="none"))
         assert a.test_time == b.test_time
         assert a.tam_widths == b.tam_widths

@@ -168,6 +168,6 @@ class TestWrapperCornerWithBidirs:
             seed=6,
         )
         soc = Soc(name="bs", cores=(core,))
-        plan = repro.optimize_soc(soc, 5, compression="auto")
+        plan = repro.plan(soc, 5, repro.RunConfig(compression="auto"))
         report = repro.simulate_architecture(soc, plan.architecture)
         assert report.total_cycles == plan.test_time

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.architecture import DecompressorPlacement
-from repro.core.optimizer import optimize_per_tam, optimize_soc
+from repro.pipeline import RunConfig, plan
 from repro.soc.core import Core
 from repro.soc.soc import Soc
 
@@ -29,49 +29,49 @@ def sparse_soc() -> Soc:
 class TestOptimizeSoc:
     def test_rejects_zero_width(self, tiny_soc):
         with pytest.raises(ValueError):
-            optimize_soc(tiny_soc, 0)
+            plan(tiny_soc, 0)
 
     def test_rejects_bad_compression(self, tiny_soc):
         with pytest.raises(ValueError, match="compression"):
-            optimize_soc(tiny_soc, 8, compression="maybe")
+            plan(tiny_soc, 8, RunConfig(compression="maybe"))
 
     def test_schedule_covers_every_core(self, tiny_soc):
-        result = optimize_soc(tiny_soc, 8, compression=False)
+        result = plan(tiny_soc, 8, RunConfig(compression="none"))
         scheduled = {s.config.core_name for s in result.architecture.scheduled}
         assert scheduled == set(tiny_soc.core_names)
 
     def test_width_budget_respected(self, tiny_soc):
         for width in (4, 9, 16):
-            result = optimize_soc(tiny_soc, width, compression=False)
+            result = plan(tiny_soc, width, RunConfig(compression="none"))
             assert sum(result.tam_widths) <= width
 
     def test_time_non_increasing_in_width(self, sparse_soc):
         times = [
-            optimize_soc(sparse_soc, w, compression=True).test_time
+            plan(sparse_soc, w, RunConfig(compression="per-core")).test_time
             for w in (6, 12, 24)
         ]
         assert times[0] >= times[1] >= times[2]
 
     def test_compression_helps_sparse_soc(self, sparse_soc):
-        plain = optimize_soc(sparse_soc, 12, compression=False)
-        packed = optimize_soc(sparse_soc, 12, compression=True)
+        plain = plan(sparse_soc, 12, RunConfig(compression="none"))
+        packed = plan(sparse_soc, 12, RunConfig(compression="per-core"))
         assert packed.test_time < plain.test_time
         assert packed.test_data_volume < plain.test_data_volume
 
     def test_auto_never_worse_than_either_pure_mode(self, tiny_soc):
-        plain = optimize_soc(tiny_soc, 10, compression=False)
-        packed = optimize_soc(tiny_soc, 10, compression=True)
-        auto = optimize_soc(tiny_soc, 10, compression="auto")
+        plain = plan(tiny_soc, 10, RunConfig(compression="none"))
+        packed = plan(tiny_soc, 10, RunConfig(compression="per-core"))
+        auto = plan(tiny_soc, 10, RunConfig(compression="auto"))
         assert auto.test_time <= min(plain.test_time, packed.test_time)
 
     def test_placement_flags(self, sparse_soc):
-        plain = optimize_soc(sparse_soc, 8, compression=False)
-        packed = optimize_soc(sparse_soc, 8, compression=True)
+        plain = plan(sparse_soc, 8, RunConfig(compression="none"))
+        packed = plan(sparse_soc, 8, RunConfig(compression="per-core"))
         assert plain.architecture.placement is DecompressorPlacement.NONE
         assert packed.architecture.placement is DecompressorPlacement.PER_CORE
 
     def test_compressed_configs_record_decompressor(self, sparse_soc):
-        result = optimize_soc(sparse_soc, 12, compression=True)
+        result = plan(sparse_soc, 12, RunConfig(compression="per-core"))
         for slot in result.architecture.scheduled:
             config = slot.config
             if config.uses_compression:
@@ -81,25 +81,25 @@ class TestOptimizeSoc:
 
     def test_narrow_tam_falls_back_to_uncompressed(self, sparse_soc):
         # Width 2 cannot host a w >= 3 code anywhere.
-        result = optimize_soc(sparse_soc, 2, compression=True)
+        result = plan(sparse_soc, 2, RunConfig(compression="per-core"))
         assert all(
             not s.config.uses_compression for s in result.architecture.scheduled
         )
 
     def test_cpu_time_recorded(self, sparse_soc):
-        result = optimize_soc(sparse_soc, 8, compression=True)
+        result = plan(sparse_soc, 8, RunConfig(compression="per-core"))
         assert result.cpu_seconds > 0
 
     def test_strategy_forwarded(self, sparse_soc):
-        greedy = optimize_soc(sparse_soc, 8, compression=False, strategy="greedy")
+        greedy = plan(sparse_soc, 8, RunConfig(compression="none", strategy="greedy"))
         assert greedy.strategy == "greedy"
 
     def test_max_tams_respected(self, sparse_soc):
-        result = optimize_soc(sparse_soc, 12, compression=False, max_tams=2)
+        result = plan(sparse_soc, 12, RunConfig(compression="none", max_tams=2))
         assert len(result.tam_widths) <= 2
 
     def test_makespan_equals_architecture_time(self, sparse_soc):
-        result = optimize_soc(sparse_soc, 10, compression=True)
+        result = plan(sparse_soc, 10, RunConfig(compression="per-core"))
         finishes = result.architecture.tam_finish_times().values()
         assert result.test_time == max(finishes)
 
@@ -107,14 +107,14 @@ class TestOptimizeSoc:
 class TestOptimizePerTam:
     def test_rejects_too_few_channels(self, sparse_soc):
         with pytest.raises(ValueError):
-            optimize_per_tam(sparse_soc, 2)
+            plan(sparse_soc, 2, RunConfig(compression="per-tam"))
 
     def test_placement(self, sparse_soc):
-        result = optimize_per_tam(sparse_soc, 9)
+        result = plan(sparse_soc, 9, RunConfig(compression="per-tam"))
         assert result.architecture.placement is DecompressorPlacement.PER_TAM
 
     def test_cores_on_same_tam_share_width(self, sparse_soc):
-        result = optimize_per_tam(sparse_soc, 9)
+        result = plan(sparse_soc, 9, RunConfig(compression="per-tam"))
         width_of = {t.index: t.width for t in result.architecture.tams}
         for slot in result.architecture.scheduled:
             config = slot.config
@@ -123,12 +123,12 @@ class TestOptimizePerTam:
             assert config.wrapper_chains == expected
 
     def test_expanded_tams_wider_than_channels(self, sparse_soc):
-        result = optimize_per_tam(sparse_soc, 9)
+        result = plan(sparse_soc, 9, RunConfig(compression="per-tam"))
         assert result.architecture.total_tam_width > 9
 
     def test_per_core_never_slower_than_per_tam(self, sparse_soc):
-        per_core = optimize_soc(sparse_soc, 9, compression=True)
-        per_tam = optimize_per_tam(sparse_soc, 9)
+        per_core = plan(sparse_soc, 9, RunConfig(compression="per-core"))
+        per_tam = plan(sparse_soc, 9, RunConfig(compression="per-tam"))
         # Per-core decompression strictly generalizes the per-TAM choice
         # given identical partitioning freedom; allow small slack for the
         # different partition spaces (per-TAM parts must be >= 3).

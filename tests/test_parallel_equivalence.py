@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.optimizer import optimize_per_tam, optimize_soc
+from repro.pipeline import RunConfig, plan
 from repro.explore.cache import AnalysisDiskCache
 from repro.explore.dse import clear_analysis_cache
 from repro.parallel import resolve_jobs
@@ -47,17 +47,17 @@ def test_serial_parallel_cold_warm_identical(design, width, tmp_path):
     cache_dir = tmp_path / "analysis-cache"
 
     clear_analysis_cache()
-    serial = optimize_soc(soc, width, use_cache=False)
+    serial = plan(soc, width, RunConfig(use_cache=False))
 
     clear_analysis_cache()
-    parallel = optimize_soc(soc, width, jobs=4, use_cache=False)
+    parallel = plan(soc, width, RunConfig(jobs=4, use_cache=False))
 
     clear_analysis_cache()
-    cold = optimize_soc(soc, width, jobs=2, cache_dir=str(cache_dir))
+    cold = plan(soc, width, RunConfig(jobs=2, cache_dir=str(cache_dir)))
     assert AnalysisDiskCache(cache_dir).stats().entries == len(soc.cores)
 
     clear_analysis_cache()
-    warm = optimize_soc(soc, width, cache_dir=str(cache_dir))
+    warm = plan(soc, width, RunConfig(cache_dir=str(cache_dir)))
 
     base = _signature(serial)
     assert _signature(parallel) == base
@@ -73,13 +73,15 @@ def test_per_tam_serial_matches_parallel(tmp_path):
     soc = load_design("d695")
 
     clear_analysis_cache()
-    serial = optimize_per_tam(soc, 12, use_cache=False)
+    serial = plan(soc, 12, RunConfig(compression="per-tam", use_cache=False))
 
     clear_analysis_cache()
-    parallel = optimize_per_tam(soc, 12, jobs=2, cache_dir=str(tmp_path))
+    parallel = plan(
+        soc, 12, RunConfig(compression="per-tam", jobs=2, cache_dir=str(tmp_path))
+    )
 
     clear_analysis_cache()
-    warm = optimize_per_tam(soc, 12, cache_dir=str(tmp_path))
+    warm = plan(soc, 12, RunConfig(compression="per-tam", cache_dir=str(tmp_path)))
 
     assert _signature(parallel) == _signature(serial)
     assert _signature(warm) == _signature(serial)
@@ -90,12 +92,12 @@ def test_env_override_preserves_results(tmp_path, monkeypatch):
     soc = load_design("System2")
 
     clear_analysis_cache()
-    serial = optimize_soc(soc, 16, use_cache=False)
+    serial = plan(soc, 16, RunConfig(use_cache=False))
 
     monkeypatch.setenv("REPRO_JOBS", "2")
     assert resolve_jobs(None) == 2
     clear_analysis_cache()
-    via_env = optimize_soc(soc, 16, use_cache=False)
+    via_env = plan(soc, 16, RunConfig(use_cache=False))
 
     assert _signature(via_env) == _signature(serial)
 
@@ -106,19 +108,19 @@ def test_wider_budget_reuses_and_extends_cache(tmp_path):
     cache_dir = str(tmp_path)
 
     clear_analysis_cache()
-    optimize_soc(soc, 12, jobs=2, cache_dir=cache_dir)
+    plan(soc, 12, RunConfig(jobs=2, cache_dir=cache_dir))
 
     clear_analysis_cache()
-    extended = optimize_soc(soc, 20, jobs=2, cache_dir=cache_dir)
+    extended = plan(soc, 20, RunConfig(jobs=2, cache_dir=cache_dir))
 
     clear_analysis_cache()
-    fresh = optimize_soc(soc, 20, use_cache=False)
+    fresh = plan(soc, 20, RunConfig(use_cache=False))
     assert _signature(extended) == _signature(fresh)
 
     # The widened tables were merged back: a third run is a pure hit.
     cache = AnalysisDiskCache(cache_dir)
     clear_analysis_cache()
-    warm = optimize_soc(soc, 20, cache_dir=cache_dir)
+    warm = plan(soc, 20, RunConfig(cache_dir=cache_dir))
     assert _signature(warm) == _signature(fresh)
 
 

@@ -16,7 +16,6 @@ from repro.pipeline import (
     Stage,
     WrapperStage,
     available_stages,
-    normalize_compression,
     pipeline_for,
     plan,
     register_stage,
@@ -45,11 +44,10 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="min_tam_width"):
             RunConfig(min_tam_width=0)
 
-    def test_normalize_compression_bools(self):
-        assert normalize_compression(True) == "per-core"
-        assert normalize_compression(False) == "none"
-        with pytest.raises(ValueError, match="compression"):
-            normalize_compression("bogus")
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_boolean_compression(self, flag):
+        with pytest.raises(ValueError, match="unknown compression mode"):
+            RunConfig(compression=flag)
 
     def test_precedence_normalized_to_tuples(self):
         config = RunConfig(precedence=[["a", "b"], ("c", "d")])
@@ -95,6 +93,14 @@ class TestPipelineRouting:
 
     def test_pipeline_for_per_tam(self):
         assert pipeline_for(RunConfig(compression="per-tam")).name == "per-tam"
+
+    def test_explicit_stage_pairs_keep_flavor_names(self):
+        constrained = RunConfig(architecture="constrained", schedule="constrained")
+        assert pipeline_for(constrained).name == "constrained"
+        packing = RunConfig(architecture="packing", schedule="packing")
+        assert pipeline_for(packing).name == "packing+packing"
+        verified = pipeline_for(packing.replace(verify=True))
+        assert verified.name == "packing+packing+verify"
 
     def test_empty_pipeline_rejected(self):
         with pytest.raises(ValueError, match="at least one stage"):
@@ -314,6 +320,26 @@ class TestLookupTablesRows:
         monkeypatch.setattr(dse, "exact_codeword_totals", counting)
         _tables(tiny_soc, "per-core", 16)
         assert len(calls) == len(tiny_soc.cores)
+
+    @pytest.mark.parametrize("compression", ["none", "auto", "select"])
+    def test_warm_plan_designs_no_wrappers(self, compression, monkeypatch):
+        """The second plan reads the uncompressed points the first made."""
+        from repro.explore import dse
+        from repro.soc.industrial import load_design
+
+        soc = load_design("d695")
+        config = RunConfig(compression=compression, use_cache=False, jobs=1)
+        plan(soc, 16, config)
+        calls = []
+        batch = dse.design_wrappers_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(dse, "design_wrappers_batch", counting)
+        plan(soc, 16, config)
+        assert calls == []
 
     @pytest.mark.parametrize("flow", ["standard", "packing", "power", "robust"])
     def test_search_and_schedule_read_only_the_rows(

@@ -3,7 +3,6 @@
 import pytest
 
 import repro
-from repro.core.optimizer import optimize_soc_constrained
 from repro.power.model import power_table
 from repro.reporting.profile import (
     peak_power,
@@ -31,7 +30,7 @@ def planned():
         for i in range(3)
     )
     soc = Soc(name="prof", cores=cores)
-    return soc, repro.optimize_soc(soc, 10, compression=True)
+    return soc, repro.plan(soc, 10)
 
 
 class TestUtilization:
@@ -151,9 +150,7 @@ class TestPowerProfile:
         soc = Soc(name="pp", cores=cores)
         table = power_table(soc, compression=True)
         budget = sum(table.values())  # loose
-        plan = optimize_soc_constrained(
-            soc, 9, compression=True, power_budget=budget
-        )
+        plan = repro.plan(soc, 9, repro.RunConfig(power_budget=budget))
         profile = power_profile(plan.architecture, table)
         assert peak_power(profile) == pytest.approx(plan.peak_power)
 

@@ -81,7 +81,7 @@ def planned():
         for i in range(3)
     )
     soc = Soc(name="trunc", cores=cores)
-    plan = repro.optimize_soc(soc, 10, compression=True)
+    plan = repro.plan(soc, 10, repro.RunConfig(compression="per-core"))
     return soc, plan
 
 
@@ -198,8 +198,8 @@ class TestTruncation:
         """The intro's motivation: at the same ATE depth, the compressed
         plan keeps more quality."""
         soc, _ = planned
-        plain = repro.optimize_soc(soc, 10, compression=False)
-        packed = repro.optimize_soc(soc, 10, compression=True)
+        plain = repro.plan(soc, 10, repro.RunConfig(compression="none"))
+        packed = repro.plan(soc, 10, repro.RunConfig(compression="per-core"))
         depth = int(packed.test_time * 1.5)  # generous for TDC, tight for raw
         plain_result = truncate_for_depth(soc, plain, depth)
         packed_result = truncate_for_depth(soc, packed, depth)

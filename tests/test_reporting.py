@@ -129,7 +129,7 @@ class TestFigure4Format:
         # Build a Figure4Data-like object from two tiny optimizer runs is
         # costly; instead exercise the formatter through a fast SOC.
         from repro.reporting.experiments import Figure4Data
-        from repro.core.optimizer import optimize_soc, optimize_per_tam
+        from repro.pipeline import RunConfig, plan
         from repro.soc.core import Core
         from repro.soc.soc import Soc
 
@@ -149,9 +149,9 @@ class TestFigure4Format:
         data = Figure4Data(
             soc_name="mini",
             width_budget=10,
-            no_tdc=optimize_soc(soc, 10, compression=False),
-            per_tam=optimize_per_tam(soc, 10),
-            per_core=optimize_soc(soc, 10, compression=True),
+            no_tdc=plan(soc, 10, RunConfig(compression="none")),
+            per_tam=plan(soc, 10, RunConfig(compression="per-tam")),
+            per_core=plan(soc, 10, RunConfig(compression="per-core")),
         )
         text = format_figure4(data)
         assert "(a) no TDC" in text

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.optimizer import optimize_soc
+from repro.pipeline import RunConfig, plan
 from repro.explore.dse import CoreAnalysis, analysis_for
 from repro.explore.selection import TechniqueSelector, select_technique
 from repro.soc.core import Core
@@ -64,12 +64,12 @@ class TestSelectModeOptimizer:
         return Soc(name="mixed", cores=(sparse_core, comb_core, small_core))
 
     def test_select_never_worse_than_auto(self, mixed_soc):
-        auto = optimize_soc(mixed_soc, 10, compression="auto")
-        select = optimize_soc(mixed_soc, 10, compression="select")
+        auto = plan(mixed_soc, 10, RunConfig(compression="auto"))
+        select = plan(mixed_soc, 10, RunConfig(compression="select"))
         assert select.test_time <= auto.test_time
 
     def test_techniques_recorded(self, mixed_soc):
-        result = optimize_soc(mixed_soc, 10, compression="select")
+        result = plan(mixed_soc, 10, RunConfig(compression="select"))
         techniques = {
             s.config.core_name: s.config.technique
             for s in result.architecture.scheduled

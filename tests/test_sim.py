@@ -105,7 +105,7 @@ class TestCoreSimulatorUncompressed:
 class TestCoreSimulatorCompressed:
     def test_matches_planned_time(self, sparse_core):
         soc = Soc(name="one", cores=(sparse_core,))
-        plan = repro.optimize_soc(soc, 8, compression=True)
+        plan = repro.plan(soc, 8, repro.RunConfig(compression="per-core"))
         config = plan.architecture.config_for(sparse_core.name)
         assert config.uses_compression
         result = CoreSimulator(
@@ -127,24 +127,24 @@ class TestSimulateArchitecture:
         return Soc(name="mix", cores=(small_core, sparse_core))
 
     def test_no_tdc_plan_replays_exactly(self, mixed_soc):
-        plan = repro.optimize_soc(mixed_soc, 8, compression=False)
+        plan = repro.plan(mixed_soc, 8, repro.RunConfig(compression="none"))
         report = simulate_architecture(mixed_soc, plan.architecture)
         assert report.total_cycles == plan.test_time
         assert report.patterns_applied == mixed_soc.total_patterns
 
     def test_compressed_plan_replays_exactly(self, mixed_soc):
-        plan = repro.optimize_soc(mixed_soc, 8, compression="auto")
+        plan = repro.plan(mixed_soc, 8, repro.RunConfig(compression="auto"))
         report = simulate_architecture(mixed_soc, plan.architecture)
         assert report.total_cycles == plan.test_time
 
     def test_d695_subset_replays(self):
         soc = repro.load_design("d695").subset(["s5378", "s9234", "s838"])
-        plan = repro.optimize_soc(soc, 8, compression="auto")
+        plan = repro.plan(soc, 8, repro.RunConfig(compression="auto"))
         report = simulate_architecture(soc, plan.architecture)
         assert report.total_cycles == plan.test_time
 
     def test_per_tam_plan_replays_exactly(self, mixed_soc):
-        plan = repro.optimize_per_tam(mixed_soc, 8)
+        plan = repro.plan(mixed_soc, 8, repro.RunConfig(compression="per-tam"))
         report = simulate_architecture(mixed_soc, plan.architecture)
         assert report.total_cycles == plan.test_time
 
@@ -156,7 +156,7 @@ class TestSimulateArchitecture:
             simulate_architecture(mixed_soc, plan.architecture)
 
     def test_report_totals(self, mixed_soc):
-        plan = repro.optimize_soc(mixed_soc, 8, compression=True)
+        plan = repro.plan(mixed_soc, 8, repro.RunConfig(compression="per-core"))
         report = simulate_architecture(mixed_soc, plan.architecture)
         assert report.bits_streamed > 0
         assert report.soc_name == "mix"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.architecture import DecompressorPlacement
-from repro.core.optimizer import optimize_soc
+from repro.pipeline import RunConfig, plan
 from repro.core.soclevel import optimize_soc_level_decompressor
 from repro.soc.core import Core
 from repro.soc.soc import Soc
@@ -46,7 +46,7 @@ class TestSocLevel:
 
     def test_time_at_least_internal_schedule(self, sparse_soc):
         result = optimize_soc_level_decompressor(sparse_soc, 8, internal_width=24)
-        internal = optimize_soc(sparse_soc, 24, compression=False)
+        internal = plan(sparse_soc, 24, RunConfig(compression="none"))
         assert result.test_time >= internal.test_time
 
     def test_wide_internal_tam_reported(self, sparse_soc):
@@ -58,13 +58,13 @@ class TestSocLevel:
         # The whole point of [18]: a few channels drive a wide virtual
         # TAM, so the test time beats the no-TDC plan at equal channels.
         soc_level = optimize_soc_level_decompressor(sparse_soc, 8)
-        plain = optimize_soc(sparse_soc, 8, compression=False)
+        plain = plan(sparse_soc, 8, RunConfig(compression="none"))
         assert soc_level.test_time < plain.test_time
 
     def test_per_core_wins_at_equal_tam_wires(self, sparse_soc):
         """The paper's Table 2 claim, on a small instance."""
         wires = 24
-        per_core = optimize_soc(sparse_soc, wires, compression=True)
+        per_core = plan(sparse_soc, wires, RunConfig(compression="per-core"))
         from repro.compression.selective import code_parameters
 
         _, channels = code_parameters(wires)
