@@ -491,7 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=["auto", "exhaustive", "greedy", "anneal", "evolutionary"],
         default="auto",
-        help="architecture-search backend (see docs/search.md)",
+        help="architecture-search backend (see docs/search.md); the "
+        "constrained and per-tam architecture stages accept auto, "
+        "exhaustive and greedy only",
     )
     plan.add_argument(
         "--search-opt",

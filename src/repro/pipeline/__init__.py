@@ -25,10 +25,8 @@ from repro.pipeline.pipeline import Pipeline, pipeline_for, plan
 from repro.pipeline.result import PlanResult
 from repro.pipeline.stages import (
     ArchitectureStage,
-    ConstrainedArchitectureStage,
     ConstrainedScheduleStage,
     DecompressorStage,
-    PerTamArchitectureStage,
     PerTamScheduleStage,
     PlanContext,
     RobustArchitectureStage,
@@ -56,10 +54,8 @@ __all__ = [
     "plan",
     "PlanResult",
     "ArchitectureStage",
-    "ConstrainedArchitectureStage",
     "ConstrainedScheduleStage",
     "DecompressorStage",
-    "PerTamArchitectureStage",
     "PerTamScheduleStage",
     "PlanContext",
     "RobustArchitectureStage",

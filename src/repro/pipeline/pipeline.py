@@ -205,16 +205,19 @@ def pipeline_for(config: RunConfig) -> Pipeline:
     ``architecture="packing", schedule="packing"``, and
     ``architecture="constrained", schedule="constrained"`` is the
     constrained flavor with no constraint set -- overriding that
-    routing.  ``config.verify`` appends the registered verify stage, so
-    the plan is independently re-checked before it leaves the pipeline.
+    routing.  The packing, constrained and per-TAM stages are selected
+    in pairs only; any other mix raises ``ValueError``.
+    ``config.verify`` appends the registered verify stage, so the plan
+    is independently re-checked before it leaves the pipeline.
     """
     if config.architecture != "auto" or config.schedule != "auto":
-        if (config.architecture == "packing") != (config.schedule == "packing"):
-            raise ValueError(
-                "the packing architecture and schedule stages must be "
-                "selected together (the schedule stage materializes the "
-                "architecture stage's packed plan)"
-            )
+        for name in ("packing", "constrained", "per-tam"):
+            if (config.architecture == name) != (config.schedule == name):
+                raise ValueError(
+                    f"the {name} architecture and schedule stages must be "
+                    "selected together (the schedule stage lays out what "
+                    "only its own architecture stage searched)"
+                )
         stages = (
             config.architecture if config.architecture != "auto" else "partition",
             config.schedule if config.schedule != "auto" else "list",

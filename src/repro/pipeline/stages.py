@@ -13,11 +13,14 @@ The paper's heuristic is a four-step flow; each step is a
    :class:`~repro.pipeline.tables.LookupTables` (one row per core over
    every width of the budget, under a ``tables`` span) and fixing the
    decompressor placement;
-3. an **architecture** stage -- chooses the TAM partition (and, for
-   the constrained/per-TAM variants, the assignment): the paper's
-   step 3;
-4. a **schedule** stage -- materializes the chosen schedule as a
-   :class:`~repro.core.architecture.TestArchitecture`: step 4.
+3. an **architecture** stage -- chooses the TAM partition and the
+   core assignment: the paper's step 3.  :class:`ArchitectureStage`
+   searches every fixed-TAM flow (standard, power-constrained and
+   per-TAM) through :func:`repro.search.run_search`, costing each
+   partition by that flow's step-4 schedule;
+4. a **schedule** stage -- materializes the winning partition's
+   schedule as a :class:`~repro.core.architecture.TestArchitecture`
+   from ``ctx.search``: step 4.
 
 Architecture and schedule stages are pluggable through a registry
 (:func:`register_stage` / :func:`stage_factory`), so alternative
@@ -31,19 +34,32 @@ from __future__ import annotations
 
 import abc
 import functools
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro import obs
 from repro.core.architecture import (
+    CoreConfig,
     DecompressorPlacement,
     ScheduledCore,
     Tam,
     TestArchitecture,
 )
-from repro.core.partition import PartitionSearchResult, partitions_list
-from repro.core.scheduler import build_architecture, schedule_cores
-from repro.search import resolve_search_space, run_search
-from repro.explore.dse import CoreAnalysis
+from repro.core.partition import PartitionSearchResult
+from repro.core.scheduler import (
+    ScheduleOutcome,
+    TimeFn,
+    TimeTable,
+    build_architecture,
+    schedule_cores_indexed,
+)
+from repro.core.timeline import (
+    ConstrainedSchedule,
+    constrained_architecture,
+    schedule_constrained,
+)
+from repro.explore.dse import CompressedPoint, CoreAnalysis
+from repro.search import run_search
+from repro.search.evaluator import ScheduleFn
 from repro.pipeline.config import RunConfig
 from repro.pipeline.events import EventRecorder
 from repro.pipeline.tables import LookupTables
@@ -184,28 +200,56 @@ def _require_tables(ctx: PlanContext, stage: str) -> LookupTables:
 # ---------------------------------------------------------------------------
 
 
+#: The fixed-TAM flows :class:`ArchitectureStage` searches.
+FLOWS = ("standard", "constrained", "per-tam")
+
+
 class ArchitectureStage(Stage):
     """Architecture search over fixed-width TAMs (the paper's step 3).
 
     Thin driver over :func:`repro.search.run_search`: the strategy
     names a registered backend, ``config.search_opts`` carries its
     hyperparameters, and the multi-objective backends get volume/power
-    lookups wired from the same tables the scheduler uses.
+    lookups wired from the same tables the scheduler uses.  The flow
+    fixes what one partition costs (see :data:`FLOWS`):
+
+    * ``standard`` -- the lookup tables' times under the paper's list
+      heuristic;
+    * ``constrained`` -- the same times under
+      :func:`~repro.core.timeline.schedule_constrained` with the
+      config's power table, budget and precedence;
+    * ``per-tam`` -- Figure 4(b): each core's best time at its TAM's
+      code width, list-scheduled, then re-costed at every TAM's shared
+      expanded width.
+
+    The last two cost whole partitions, so a backend that costs
+    explicit assignments (``anneal``, ``evolutionary``) fails on them
+    (see :meth:`~repro.search.evaluator.Evaluator.makespan_of`).
     """
 
     name = "architecture"
 
-    def __init__(self, strategy: str | None = None) -> None:
+    def __init__(
+        self, strategy: str | None = None, flow: str = "standard"
+    ) -> None:
+        if flow not in FLOWS:
+            raise ValueError(
+                f"unknown flow {flow!r}; expected one of {', '.join(FLOWS)}"
+            )
         #: When set, overrides ``config.strategy`` (the registry uses
         #: this to expose "exhaustive"/"greedy"/"anneal"/"evolutionary"
         #: as stages).
         self.strategy = strategy
+        self.flow = flow
 
     def run(self, ctx: PlanContext) -> None:
         config = ctx.config
-        tables = _require_tables(ctx, self.name)
+        strategy = self.strategy or config.strategy
+        time_of, schedule, min_width = self._objective(ctx)
+        tables = ctx.tables
 
         def volume_of(name: str, width: int) -> int:
+            assert tables is not None
             return tables.config_of(name, width).volume
 
         power_map = config.power_of
@@ -214,19 +258,18 @@ class ArchitectureStage(Stage):
             if power_map is not None
             else None
         )
-        with obs.span(
-            "search", strategy=self.strategy or config.strategy
-        ) as attrs:
+        with obs.span("search", strategy=strategy) as attrs:
             search = run_search(
                 ctx.names,
                 ctx.width_budget,
-                tables.time_of,
+                time_of,
                 max_parts=config.max_tams,
-                min_width=config.min_tam_width,
-                strategy=self.strategy or config.strategy,
+                min_width=min_width,
+                strategy=strategy,
                 options=config.search_options(),
-                volume_of=volume_of,
+                volume_of=volume_of if tables is not None else None,
                 power_of=power_of,
+                schedule=schedule,
             )
             attrs["partitions"] = search.partitions_evaluated
             attrs["backend"] = search.strategy
@@ -243,152 +286,159 @@ class ArchitectureStage(Stage):
             makespan=search.makespan,
         )
 
-
-class ConstrainedArchitectureStage(Stage):
-    """Exhaustive partition search under power/precedence constraints."""
-
-    name = "architecture"
-
-    def run(self, ctx: PlanContext) -> None:
-        from repro.core.timeline import ConstrainedSchedule, schedule_constrained
-
+    def _objective(
+        self, ctx: PlanContext
+    ) -> tuple[TimeFn, ScheduleFn | None, int]:
+        """The flow's ``(time_of, schedule, min_width)``."""
         config = ctx.config
+        if self.flow == "per-tam":
+            costs = _SharedWidths(ctx.analyses, ctx.names)
+            return costs.code_width_time, costs.schedule, config.min_code_width
         tables = _require_tables(ctx, self.name)
-        power_of = config.power_of
-        if config.power_budget is not None and power_of is None:
+        if self.flow == "standard":
+            return tables.time_of, None, config.min_tam_width
+        schedule = functools.partial(_constrained_outcome, ctx)
+        return tables.time_of, schedule, config.min_tam_width
+
+
+def _power_of(ctx: PlanContext) -> Any:
+    """The run's power table, worked out once and kept on the context.
+
+    The config's own table, else -- when only a budget is set -- the
+    power model's table for the SOC.  :class:`VerifyStage` checks the
+    plan against the same table.
+    """
+    config = ctx.config
+    if ctx.power_of is None:
+        ctx.power_of = config.power_of
+        if config.power_budget is not None and ctx.power_of is None:
             from repro.power.model import power_table
 
-            power_of = power_table(
+            ctx.power_of = power_table(
                 ctx.soc, compression=config.compression != "none"
             )
-        ctx.power_of = power_of
-
-        space = resolve_search_space(
-            len(ctx.names),
-            ctx.width_budget,
-            max_parts=config.max_tams,
-            min_width=config.min_tam_width,
-        )
-
-        best: ConstrainedSchedule | None = None
-        evaluated = 0
-        with obs.span("search", strategy="exhaustive") as attrs:
-            for widths in partitions_list(
-                space.total_width, space.max_parts, space.min_width
-            ):
-                schedule = schedule_constrained(
-                    ctx.names,
-                    widths,
-                    tables.time_of,
-                    power_of=power_of,
-                    power_budget=config.power_budget,
-                    precedence=config.precedence,
-                )
-                evaluated += 1
-                if best is None or schedule.makespan < best.makespan:
-                    best = schedule
-            attrs["partitions"] = evaluated
-        obs.inc("architecture.partitions_evaluated", evaluated)
-        assert best is not None
-        ctx.extras["constrained_schedule"] = best
-        ctx.partitions_evaluated = evaluated
-        ctx.strategy = "exhaustive"
-        ctx.events.emit(
-            "search-done",
-            self.name,
-            strategy="exhaustive",
-            partitions=evaluated,
-            widths=list(best.widths),
-            makespan=best.makespan,
-        )
+    return ctx.power_of
 
 
-class PerTamArchitectureStage(Stage):
-    """Figure 4(b) search: per-TAM code widths and shared expanded widths."""
+def _schedule_constrained(
+    ctx: PlanContext, widths: Sequence[int]
+) -> ConstrainedSchedule:
+    """The power/precedence schedule of one partition of this run."""
+    config = ctx.config
+    return schedule_constrained(
+        ctx.names,
+        widths,
+        _require_tables(ctx, "constrained").time_of,
+        power_of=_power_of(ctx),
+        power_budget=config.power_budget,
+        precedence=config.precedence,
+    )
 
-    name = "architecture"
 
-    def run(self, ctx: PlanContext) -> None:
-        config = ctx.config
-        analyses = ctx.analyses
-        names = ctx.names
-        space = resolve_search_space(
-            len(names),
-            ctx.width_budget,
-            max_parts=config.max_tams,
-            min_width=config.min_code_width,
-        )
+def _constrained_outcome(
+    ctx: PlanContext, table: TimeTable, widths: tuple[int, ...]
+) -> ScheduleOutcome:
+    """The constrained flow's search objective (``table`` goes unused)."""
+    schedule = _schedule_constrained(ctx, widths)
+    tam_of = {interval.name: interval.tam for interval in schedule.intervals}
+    return ScheduleOutcome(
+        widths=schedule.widths,
+        makespan=schedule.makespan,
+        assignment=tuple(tam_of[name] for name in ctx.names),
+    )
 
-        # Every partition asks again about the same (core, width) and
-        # (core, m) pairs; each is answered once per run.
-        @functools.cache
-        def code_width_time(name: str, w: int) -> int:
-            analysis = analyses[name]
-            best = analysis.best_for_code_width(w) or analysis.best_compressed_for_tam(w)
-            if best is None:
-                return analysis.uncompressed_point(w).test_time
-            return best.test_time
 
-        @functools.cache
-        def favorite_m(name: str, w: int) -> int | None:
-            best = analyses[name].best_for_code_width(w)
-            return None if best is None else best.m
+class _SharedWidths:
+    """Figure 4(b) costs: one decompressor, one expanded width per TAM.
 
-        @functools.cache
-        def shared_m_time(name: str, m: int) -> int:
-            return _shared_m_time(analyses[name], m)
+    A partition is list-scheduled on each core's best time at its TAM's
+    code width.  Each TAM then fixes one shared expanded width m from
+    its members' favorite m values, and every member is re-costed at
+    it.  Every partition asks again about the same (core, width) and
+    (core, m) pairs; each is answered once per instance.
+    """
 
-        best_arch: tuple[int, tuple[int, ...], list[int], list[int]] | None = None
-        evaluated = 0
-        for widths in partitions_list(
-            space.total_width, space.max_parts, space.min_width
-        ):
-            evaluated += 1
-            outcome = schedule_cores(names, widths, code_width_time)
-            # Fix a shared expanded width per TAM from the assigned cores'
-            # favorite m values, then re-cost every core at that width.
-            shared_ms: list[int] = []
-            loads: list[int] = []
-            for tam, w in enumerate(widths):
-                members = [
-                    names[i] for i, t in enumerate(outcome.assignment) if t == tam
-                ]
-                if not members:
-                    shared_ms.append(1)
-                    loads.append(0)
-                    continue
-                favorites = (favorite_m(name, w) for name in members)
-                candidates = {m for m in favorites if m is not None}
-                if not candidates:
-                    candidates = {
-                        min(
-                            analyses[name].core.max_useful_wrapper_chains
-                            for name in members
-                        )
-                    }
-                best_m, best_load = None, None
-                for m in sorted(candidates):
-                    load = sum(shared_m_time(name, m) for name in members)
-                    if best_load is None or load < best_load:
-                        best_m, best_load = m, load
-                assert best_m is not None and best_load is not None
-                shared_ms.append(best_m)
-                loads.append(best_load)
-            makespan = max(loads) if loads else 0
-            if best_arch is None or makespan < best_arch[0]:
-                best_arch = (makespan, widths, shared_ms, list(outcome.assignment))
+    def __init__(
+        self, analyses: dict[str, CoreAnalysis], names: Sequence[str]
+    ) -> None:
+        self.analyses = analyses
+        self.names = list(names)
+        self.code_width_time = functools.cache(self._code_width_time)
+        self.shared_m_time = functools.cache(self._shared_m_time)
+        self._favorite_m = functools.cache(self._favorite)
 
-        assert best_arch is not None
-        obs.inc("architecture.partitions_evaluated", evaluated)
-        ctx.extras["per_tam_best"] = best_arch
-        ctx.partitions_evaluated = evaluated
-        ctx.strategy = "exhaustive"
-        ctx.events.emit(
-            "search-done",
-            self.name,
-            strategy="exhaustive",
-            partitions=evaluated,
-            makespan=best_arch[0],
+    def _code_width_time(self, name: str, w: int) -> int:
+        analysis = self.analyses[name]
+        best = analysis.best_for_code_width(w) or analysis.best_compressed_for_tam(w)
+        if best is None:
+            return analysis.uncompressed_point(w).test_time
+        return best.test_time
+
+    def _favorite(self, name: str, w: int) -> int | None:
+        best = self.analyses[name].best_for_code_width(w)
+        return None if best is None else best.m
+
+    def _shared_m_time(self, name: str, shared_m: int) -> int:
+        return self.point(name, shared_m).test_time
+
+    def point(self, name: str, shared_m: int) -> CompressedPoint:
+        """The core's design point when its TAM expands to ``shared_m``.
+
+        The core can only use as many wrapper chains as it has scanned
+        elements; surplus decompressor outputs idle.
+        """
+        analysis = self.analyses[name]
+        m = min(shared_m, analysis.core.max_useful_wrapper_chains)
+        return analysis.compressed_point(m)
+
+    def shared_ms(
+        self, widths: Sequence[int], assignment: Sequence[int]
+    ) -> tuple[list[int], list[int]]:
+        """Each TAM's shared m and its members' summed time at it.
+
+        An empty TAM gets m = 1 and load 0.  Otherwise the m is the
+        members' favorite (or, when none has one, their smallest useful
+        chain count) with the least summed time.
+        """
+        shared: list[int] = []
+        loads: list[int] = []
+        for tam, w in enumerate(widths):
+            members = [
+                self.names[i] for i, t in enumerate(assignment) if t == tam
+            ]
+            if not members:
+                shared.append(1)
+                loads.append(0)
+                continue
+            favorites = (self._favorite_m(name, w) for name in members)
+            candidates = {m for m in favorites if m is not None}
+            if not candidates:
+                candidates = {
+                    min(
+                        self.analyses[name].core.max_useful_wrapper_chains
+                        for name in members
+                    )
+                }
+            best_m, best_load = None, None
+            for m in sorted(candidates):
+                load = sum(self.shared_m_time(name, m) for name in members)
+                if best_load is None or load < best_load:
+                    best_m, best_load = m, load
+            assert best_m is not None and best_load is not None
+            shared.append(best_m)
+            loads.append(best_load)
+        return shared, loads
+
+    def schedule(
+        self, table: TimeTable, widths: tuple[int, ...]
+    ) -> ScheduleOutcome:
+        """The search objective: list schedule, then the shared-m re-cost."""
+        outcome = schedule_cores_indexed(table, widths)
+        _, loads = self.shared_ms(widths, outcome.assignment)
+        return ScheduleOutcome(
+            widths=outcome.widths,
+            makespan=max(loads),
+            assignment=outcome.assignment,
         )
 
 
@@ -440,23 +490,28 @@ class RobustArchitectureStage(Stage):
 # ---------------------------------------------------------------------------
 
 
+def _require_search(ctx: PlanContext, stage: str) -> PartitionSearchResult:
+    if ctx.search is None:
+        raise RuntimeError(
+            f"stage {stage!r} needs a partition search result; run an "
+            "architecture stage first"
+        )
+    return ctx.search
+
+
 class ScheduleStage(Stage):
     """Lay out the searched partition as a :class:`TestArchitecture`."""
 
     name = "schedule"
 
     def run(self, ctx: PlanContext) -> None:
-        if ctx.search is None:
-            raise RuntimeError(
-                "ScheduleStage needs a partition search result; run an "
-                "architecture stage first"
-            )
+        search = _require_search(ctx, self.name)
         tables = _require_tables(ctx, self.name)
         with obs.span("place-cores", cores=len(ctx.names)):
             ctx.architecture = build_architecture(
                 ctx.soc.name,
                 ctx.names,
-                ctx.search.outcome,
+                search.outcome,
                 tables.config_of,
                 placement=ctx.placement,
                 ate_channels=ctx.width_budget,
@@ -472,20 +527,19 @@ class ScheduleStage(Stage):
 
 
 class ConstrainedScheduleStage(Stage):
-    """Materialize the constrained schedule (may include TAM idle time)."""
+    """Materialize the constrained schedule (may include TAM idle time).
+
+    The search kept only the winning partition; its timeline schedule is
+    rebuilt here and handed to :class:`VerifyStage`.
+    """
 
     name = "schedule"
 
     def run(self, ctx: PlanContext) -> None:
-        from repro.core.timeline import constrained_architecture
-
-        best = ctx.extras.get("constrained_schedule")
-        if best is None:
-            raise RuntimeError(
-                "ConstrainedScheduleStage needs ConstrainedArchitectureStage "
-                "to run first"
-            )
+        search = _require_search(ctx, self.name)
         tables = _require_tables(ctx, self.name)
+        best = _schedule_constrained(ctx, search.widths)
+        ctx.extras["constrained_schedule"] = best
         ctx.architecture = constrained_architecture(
             ctx.soc.name,
             best,
@@ -510,14 +564,11 @@ class PerTamScheduleStage(Stage):
     name = "schedule"
 
     def run(self, ctx: PlanContext) -> None:
-        best_arch = ctx.extras.get("per_tam_best")
-        if best_arch is None:
-            raise RuntimeError(
-                "PerTamScheduleStage needs PerTamArchitectureStage to run first"
-            )
-        _, widths, shared_ms, assignment = best_arch
-        analyses = ctx.analyses
+        outcome = _require_search(ctx, self.name).outcome
+        widths, assignment = outcome.widths, outcome.assignment
         names = ctx.names
+        costs = _SharedWidths(ctx.analyses, names)
+        shared_ms, _ = costs.shared_ms(widths, assignment)
 
         tams = tuple(
             Tam(index=i, width=max(1, shared_ms[i])) for i in range(len(widths))
@@ -526,7 +577,7 @@ class PerTamScheduleStage(Stage):
         order = sorted(
             range(len(names)),
             key=lambda i: (
-                -_shared_m_time(analyses[names[i]], shared_ms[assignment[i]]),
+                -costs.shared_m_time(names[i], shared_ms[assignment[i]]),
                 names[i],
             ),
         )
@@ -534,7 +585,15 @@ class PerTamScheduleStage(Stage):
         for index in order:
             name = names[index]
             tam = assignment[index]
-            config = _shared_m_config(analyses[name], shared_ms[tam])
+            point = costs.point(name, shared_ms[tam])
+            config = CoreConfig(
+                core_name=name,
+                uses_compression=True,
+                wrapper_chains=point.m,
+                code_width=point.code_width,
+                test_time=point.test_time,
+                volume=point.volume,
+            )
             start = loads[tam]
             end = start + config.test_time
             loads[tam] = end
@@ -554,31 +613,6 @@ class PerTamScheduleStage(Stage):
             test_time=ctx.architecture.test_time,
             tams=len(tams),
         )
-
-
-def _shared_m_time(analysis: CoreAnalysis, shared_m: int) -> int:
-    """Core test time when its TAM's decompressor outputs ``shared_m`` bits.
-
-    The core can only use as many wrapper chains as it has scanned
-    elements; surplus decompressor outputs idle.
-    """
-    m = min(shared_m, analysis.core.max_useful_wrapper_chains)
-    return analysis.compressed_point(m).test_time
-
-
-def _shared_m_config(analysis: CoreAnalysis, shared_m: int):
-    from repro.core.architecture import CoreConfig
-
-    m = min(shared_m, analysis.core.max_useful_wrapper_chains)
-    point = analysis.compressed_point(m)
-    return CoreConfig(
-        core_name=analysis.core.name,
-        uses_compression=True,
-        wrapper_chains=point.m,
-        code_width=point.code_width,
-        test_time=point.test_time,
-        volume=point.volume,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +761,10 @@ register_stage(
     "evolutionary",
     lambda: ArchitectureStage(strategy="evolutionary"),
 )
-register_stage("architecture", "constrained", ConstrainedArchitectureStage)
-register_stage("architecture", "per-tam", PerTamArchitectureStage)
+register_stage(
+    "architecture", "constrained", lambda: ArchitectureStage(flow="constrained")
+)
+register_stage("architecture", "per-tam", lambda: ArchitectureStage(flow="per-tam"))
 register_stage("architecture", "robust", RobustArchitectureStage)
 register_stage("schedule", "list", ScheduleStage)
 register_stage("schedule", "constrained", ConstrainedScheduleStage)

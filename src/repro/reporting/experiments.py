@@ -9,35 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.explore.dse import CoreAnalysis, analysis_for
 from repro.pipeline import PlanResult, RunConfig, plan
 from repro.reporting.tables import format_table
-from repro.soc.industrial import industrial_core, industrial_system, load_design
-from repro.soc.soc import Soc
+from repro.soc.industrial import industrial_core, load_design
 
-
-def _run_config(
-    config: RunConfig | None,
-    jobs: int | None,
-    cache_dir: str | None,
-    use_cache: bool | None,
-) -> RunConfig:
-    """Fold the legacy per-driver perf kwargs into one :class:`RunConfig`.
-
-    Every driver accepts either a full ``config`` or the historical
-    ``jobs``/``cache_dir``/``use_cache`` trio; explicit kwargs win over
-    the config's fields so old call sites keep their meaning.
-    """
-    if config is None:
-        config = RunConfig()
-    changes: dict[str, object] = {}
-    if jobs is not None:
-        changes["jobs"] = jobs
-    if cache_dir is not None:
-        changes["cache_dir"] = cache_dir
-    if use_cache is not None:
-        changes["use_cache"] = use_cache
-    return config.replace(**changes) if changes else config
 
 # ---------------------------------------------------------------------------
 # Figure 2: test time vs wrapper-chain count at fixed code width.
@@ -81,9 +56,6 @@ def figure2_data(
     code_width: int = 10,
     *,
     grid: int | None = None,
-    jobs: int | None = None,
-    cache_dir: str | None = None,
-    use_cache: bool | None = None,
     config: RunConfig | None = None,
 ) -> Figure2Data:
     """tau_c versus m for every m whose code width is ``code_width``.
@@ -91,7 +63,7 @@ def figure2_data(
     The paper plots ckt-7 at w = 10, i.e. m in [128, 255], and finds the
     minimum at m = 253 rather than at the maximum 255.
     """
-    cfg = _run_config(config, jobs, cache_dir, use_cache)
+    cfg = config or RunConfig()
     core = industrial_core(core_name)
     analysis = cfg.analyses(
         [core], grid=grid or 256, max_tam_width=code_width
@@ -151,13 +123,10 @@ def figure3_data(
     code_widths: range = range(6, 15),
     *,
     grid: int | None = None,
-    jobs: int | None = None,
-    cache_dir: str | None = None,
-    use_cache: bool | None = None,
     config: RunConfig | None = None,
 ) -> Figure3Data:
     """Minimum tau_c over m, for each exact decompressor input width w."""
-    cfg = _run_config(config, jobs, cache_dir, use_cache)
+    cfg = config or RunConfig()
     core = industrial_core(core_name)
     analysis = cfg.analyses(
         [core], grid=grid or 128, max_tam_width=max(code_widths)
@@ -221,13 +190,10 @@ def figure4_data(
     width: int = 31,
     *,
     max_tams: int | None = None,
-    jobs: int | None = None,
-    cache_dir: str | None = None,
-    use_cache: bool | None = None,
     config: RunConfig | None = None,
 ) -> Figure4Data:
     """Plan the same SOC three ways, as in the paper's Figure 4."""
-    cfg = _run_config(config, jobs, cache_dir, use_cache)
+    cfg = config or RunConfig()
     if max_tams is not None:
         cfg = cfg.replace(max_tams=max_tams)
     soc = load_design(soc_name)
@@ -315,9 +281,6 @@ def table1_rows(
     channels: tuple[int, ...] = (16, 24, 32),
     *,
     include_soc_level: bool = True,
-    jobs: int | None = None,
-    cache_dir: str | None = None,
-    use_cache: bool | None = None,
     config: RunConfig | None = None,
 ) -> list[Table1Row]:
     """Table 1: minimize test time at an ATE-channel budget.
@@ -329,7 +292,7 @@ def table1_rows(
     """
     from repro.core.soclevel import optimize_soc_level_decompressor
 
-    cfg = _run_config(config, jobs, cache_dir, use_cache).replace(
+    cfg = (config or RunConfig()).replace(
         compression="per-core"
     )
     rows = []
@@ -375,9 +338,6 @@ def table2_rows(
     widths: tuple[int, ...] = (16, 24, 32, 48, 64),
     *,
     include_soc_level: bool = True,
-    jobs: int | None = None,
-    cache_dir: str | None = None,
-    use_cache: bool | None = None,
     config: RunConfig | None = None,
 ) -> list[Table2Row]:
     """Table 2: minimize test time at a TAM-wire budget.
@@ -388,7 +348,7 @@ def table2_rows(
     """
     from repro.core.soclevel import optimize_soc_level_decompressor
 
-    cfg = _run_config(config, jobs, cache_dir, use_cache).replace(
+    cfg = (config or RunConfig()).replace(
         compression="per-core"
     )
     rows = []
@@ -488,13 +448,10 @@ def table3_rows(
     widths: tuple[int, ...] = (16, 32, 48, 64),
     *,
     compression: str = "per-core",
-    jobs: int | None = None,
-    cache_dir: str | None = None,
-    use_cache: bool | None = None,
     config: RunConfig | None = None,
 ) -> list[Table3Row]:
     """Table 3: the paper's headline with-vs-without-TDC comparison."""
-    cfg = _run_config(config, jobs, cache_dir, use_cache)
+    cfg = config or RunConfig()
     rows = []
     for design in designs:
         soc = load_design(design)
@@ -519,6 +476,12 @@ def table3_rows(
 
 
 def format_table3(rows: list[Table3Row]) -> str:
+    """Table 3 as text, without the two CPU columns.
+
+    Wall-clock time differs from run to run; leaving it out makes the
+    same plans always print the same table, so the recorded
+    ``benchmarks/results/table3*.txt`` files only change with the plans.
+    """
     grid = []
     for r in rows:
         grid.append(
@@ -527,10 +490,8 @@ def format_table3(rows: list[Table3Row]) -> str:
                 r.tam_width,
                 round(r.time_no_tdc / 1e3),
                 round(r.volume_no_tdc / 1e6, 2),
-                round(r.cpu_no_tdc, 2),
                 round(r.time_tdc / 1e3),
                 round(r.volume_tdc / 1e6, 2),
-                round(r.cpu_tdc, 2),
                 round(r.time_reduction, 2),
                 round(r.volume_reduction_vs_initial, 2),
                 round(r.volume_reduction, 2),
@@ -549,10 +510,8 @@ def format_table3(rows: list[Table3Row]) -> str:
             "W_TAM",
             "tau_nc (kcyc)",
             "V_nc (Mbit)",
-            "cpu_nc (s)",
             "tau_c (kcyc)",
             "V_c (Mbit)",
-            "cpu_c (s)",
             "tau_nc/tau_c",
             "V_i/V_c",
             "V_nc/V_c",

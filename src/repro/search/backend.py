@@ -9,9 +9,10 @@ self-describe their hyperparameters (name -> type), which is what lets
 reject typos with the full list of known knobs.
 
 :func:`run_search` is the one entry point every consumer goes through
-(pipeline stages, the robust search, the fuzz harness): it
-resolves the search space, auto-picks exhaustive vs. greedy exactly as
-the pre-refactor dispatcher did, coerces options, and runs the backend.
+(pipeline stages, the robust search, the hierarchy's parent search,
+the fuzz harness): it resolves the search space, auto-picks exhaustive
+vs. greedy exactly as the pre-refactor dispatcher did, coerces
+options, and runs the backend.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.core.scheduler import TimeFn
-from repro.search.evaluator import Evaluator, PowerFn, VolumeFn
+from repro.search.evaluator import Evaluator, PowerFn, ScheduleFn, VolumeFn
 from repro.search.state import (
     PartitionSearchResult,
     SearchSpace,
@@ -172,12 +173,18 @@ def run_search(
     options: Mapping[str, Any] | None = None,
     volume_of: VolumeFn | None = None,
     power_of: PowerFn | None = None,
+    schedule: ScheduleFn | None = None,
 ) -> PartitionSearchResult:
     """Resolve the space, pick the backend, and search.
 
     ``strategy="auto"`` keeps the historical rule: exhaustive while the
     partition count stays within ``AUTO_PARTITION_LIMIT``, greedy
     beyond it.  Every other name goes straight to the registry.
+
+    ``schedule`` replaces the list heuristic as the cost of a partition
+    (see :class:`~repro.search.evaluator.Evaluator`).  A backend that
+    costs explicit assignments instead gets a ``ValueError`` from
+    :meth:`~repro.search.evaluator.Evaluator.makespan_of`.
     """
     space = resolve_search_space(
         len(core_names), total_width, max_parts=max_parts, min_width=min_width
@@ -192,6 +199,6 @@ def run_search(
     backend = get_backend(strategy)
     coerced = coerce_options(backend, options)
     evaluator = Evaluator(
-        core_names, time_of, volume_of=volume_of, power_of=power_of
+        core_names, time_of, volume_of=volume_of, power_of=power_of, schedule=schedule
     )
     return backend.run(evaluator, space, **coerced)

@@ -5,13 +5,17 @@ batched list schedulers over a
 :class:`~repro.core.scheduler.TimeTable`) behind a small API the
 backends drive:
 
-* :meth:`schedule` -- list-schedule a partition (memoized on the width
-  vector; a memo hit still counts as an evaluation so the historical
-  ``partitions_evaluated`` numbers stay bit-identical);
-* :meth:`batch_makespans` -- the vectorized many-partitions kernel;
+* :meth:`schedule` -- schedule a partition under the ``schedule``
+  objective, the paper's list heuristic unless the caller passes
+  another (memoized on the width vector; a memo hit still counts as an
+  evaluation so the historical ``partitions_evaluated`` numbers stay
+  bit-identical);
+* :meth:`batch_makespans` -- the vectorized many-partitions kernel, or
+  the custom objective partition by partition;
 * :meth:`makespan_of` -- cost of an explicit (widths, assignment)
   state, the joint-space evaluation the annealer and the evolutionary
-  searcher need;
+  searcher need (refused under a custom objective, which it would
+  bypass);
 * :meth:`objectives` -- the multi-objective fitness
   ``(makespan, data volume, peak-power proxy)`` when volume/power
   lookups are wired in (they are optional; without them the extra
@@ -45,6 +49,9 @@ VolumeFn = Callable[[str, int], int]
 #: ``power_of(core_name) -> flat test power`` (arbitrary units).
 PowerFn = Callable[[str], float]
 
+#: ``schedule(table, widths) -> outcome``: what one partition costs.
+ScheduleFn = Callable[[TimeTable, tuple[int, ...]], ScheduleOutcome]
+
 #: Memoized schedule outcomes kept per evaluator before a wholesale
 #: reset; one entry per *distinct* width vector, so only a pathological
 #: backend ever reaches it.
@@ -61,11 +68,14 @@ class Evaluator:
         *,
         volume_of: VolumeFn | None = None,
         power_of: PowerFn | None = None,
+        schedule: ScheduleFn | None = None,
     ) -> None:
         self.core_names = list(core_names)
         self.time_of = time_of
         self.volume_of = volume_of
         self.power_of = power_of
+        #: The per-partition schedule; ``None`` is the list heuristic.
+        self.objective = schedule
         self.table = TimeTable(self.core_names, time_of)
         #: Evaluations performed (memo hits included -- this is the
         #: number the backends report as ``partitions_evaluated``).
@@ -81,12 +91,15 @@ class Evaluator:
     # ------------------------------------------------------------------
 
     def schedule(self, widths: Sequence[int]) -> ScheduleOutcome:
-        """List-schedule one partition (memoized, fast-path lookups)."""
+        """Schedule one partition under the objective (memoized)."""
         key = tuple(widths)
         self._count(1)
         outcome = self._memo.get(key)
         if outcome is None:
-            outcome = schedule_cores_indexed(self.table, key)
+            if self.objective is None:
+                outcome = schedule_cores_indexed(self.table, key)
+            else:
+                outcome = self.objective(self.table, key)
             self._remember(key, outcome)
         self._track(outcome)
         return outcome
@@ -94,8 +107,19 @@ class Evaluator:
     def batch_makespans(
         self, partitions: Sequence[tuple[int, ...]]
     ) -> np.ndarray:
-        """Vectorized makespans of many partitions (one evaluation each)."""
+        """Makespans of many partitions (one evaluation each).
+
+        A custom objective runs partition by partition, unmemoized; the
+        first minimum becomes the best-so-far outcome either way.
+        """
         self._count(len(partitions))
+        if self.objective is not None:
+            makespans = np.empty(len(partitions), dtype=np.int64)
+            for index, widths in enumerate(partitions):
+                outcome = self.objective(self.table, widths)
+                makespans[index] = outcome.makespan
+                self._track(outcome)
+            return makespans
         makespans = schedule_makespans_batch(self.table, partitions)
         if len(partitions):
             winner = int(np.argmin(makespans))
@@ -107,7 +131,18 @@ class Evaluator:
     def makespan_of(
         self, widths: Sequence[int], assignment: Sequence[int]
     ) -> int:
-        """Makespan of an explicit joint state (no list heuristic)."""
+        """Makespan of an explicit joint state (no list heuristic).
+
+        Refused under a custom ``schedule`` objective: an explicit
+        assignment would go around it.
+        """
+        if self.objective is not None:
+            raise ValueError(
+                "this search costs each partition by its schedule "
+                "objective, which an explicit core assignment would "
+                "bypass; search it with a strategy that schedules whole "
+                "partitions (auto, exhaustive, greedy)"
+            )
         self._count(1)
         loads = [0] * len(widths)
         for index, tam in enumerate(assignment):

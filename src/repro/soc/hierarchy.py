@@ -23,13 +23,11 @@ from typing import Sequence, Union
 from repro.core.architecture import (
     CoreConfig,
     DecompressorPlacement,
-    ScheduledCore,
-    Tam,
     TestArchitecture,
 )
-from repro.core.partition import partitions_list
-from repro.core.scheduler import schedule_cores
+from repro.core.scheduler import build_architecture
 from repro.explore.dse import analysis_for
+from repro.search import run_search
 from repro.soc.core import Core
 from repro.soc.soc import Soc
 
@@ -119,8 +117,9 @@ def optimize_hierarchical(
     Children are treated as monolithic tests whose duration depends on
     the width of the TAM they are granted (their internal plan);
     ordinary cores go through the usual per-core lookup under
-    ``compression`` (one of :data:`LEAF_MODES`).  The parent search
-    enumerates TAM partitions and list-schedules the members.
+    ``compression`` (one of :data:`LEAF_MODES`).  The parent search is
+    :func:`~repro.search.run_search` with the exhaustive backend: it
+    list-schedules the members on every TAM partition.
     """
     if compression not in LEAF_MODES:
         raise ValueError(
@@ -177,66 +176,45 @@ def optimize_hierarchical(
             return analysis.uncompressed_point(width).volume
         return best.volume
 
-    max_parts = min(len(names), 6) if max_tams is None else max_tams
-    max_parts = min(max_parts, tam_width // min_tam_width)
-    best_outcome = None
-    for widths in partitions_list(tam_width, max_parts, min_tam_width):
-        outcome = schedule_cores(names, widths, time_of)
-        if best_outcome is None or outcome.makespan < best_outcome.makespan:
-            best_outcome = outcome
-    assert best_outcome is not None
-
-    widths = best_outcome.widths
-    tams = tuple(Tam(index=i, width=w) for i, w in enumerate(widths))
-    loads = [0] * len(widths)
-    widest = max(widths)
-    order = sorted(
-        range(len(names)), key=lambda i: (-time_of(names[i], widest), names[i])
-    )
-    scheduled: list[ScheduledCore] = []
-    for index in order:
-        label = names[index]
-        tam = best_outcome.assignment[index]
-        width = widths[tam]
-        duration = time_of(label, width)
+    def config_of(label: str, width: int) -> CoreConfig:
         member = by_name[label]
-        if isinstance(member, ChildSocCore):
-            # The child's internal plan (and any compression in it) is
-            # encapsulated; the parent sees a monolithic test.
-            compressed = False
-            code_width = None
-            chains = width
-        else:
-            compressed = compression != "none" and _core_compressed(
+        # A child's internal plan (and any compression in it) is
+        # encapsulated; the parent sees a monolithic test.
+        compressed, code_width, chains = False, None, width
+        if isinstance(member, Core):
+            chains = min(width, member.max_useful_wrapper_chains)
+            if compression != "none" and _core_compressed(
                 member, width, analyses, compression
-            )
-            code_width = _code_width(member, width, analyses, compression)
-            if compressed:
-                chains = analyses[label].best_compressed_for_tam(width).m
-            else:
-                chains = min(width, member.max_useful_wrapper_chains)
-        config = CoreConfig(
+            ):
+                best = analyses[label].best_compressed_for_tam(width)
+                compressed, code_width, chains = True, best.code_width, best.m
+        return CoreConfig(
             core_name=label,
             uses_compression=compressed,
             wrapper_chains=chains,
             code_width=code_width,
-            test_time=duration,
+            test_time=time_of(label, width),
             volume=volume_of(label, width),
         )
-        start = loads[tam]
-        scheduled.append(
-            ScheduledCore(config=config, tam_index=tam, start=start, end=start + duration)
-        )
-        loads[tam] = start + duration
 
-    architecture = TestArchitecture(
-        soc_name=name,
+    search = run_search(
+        names,
+        tam_width,
+        time_of,
+        max_parts=max_tams,
+        min_width=min_tam_width,
+        strategy="exhaustive",
+    )
+    architecture = build_architecture(
+        name,
+        names,
+        search.outcome,
+        config_of,
         placement=DecompressorPlacement.PER_CORE
         if compression != "none"
         else DecompressorPlacement.NONE,
-        tams=tams,
-        scheduled=tuple(scheduled),
         ate_channels=tam_width,
+        time_of=time_of,
     )
     children = tuple(
         member.name for member in members if isinstance(member, ChildSocCore)
@@ -252,9 +230,3 @@ def _core_compressed(member: Core, width: int, analyses, comp) -> bool:
     if comp == "auto":
         return best.test_time < analysis.uncompressed_point(width).test_time
     return True
-
-
-def _code_width(member: Core, width: int, analyses, comp):
-    if not _core_compressed(member, width, analyses, comp):
-        return None
-    return analyses[member.name].best_compressed_for_tam(width).code_width

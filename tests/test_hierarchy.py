@@ -119,3 +119,10 @@ class TestOptimizeHierarchical:
         for slot in plan.architecture.scheduled:
             if slot.config.core_name != "childA":
                 assert not slot.config.uses_compression
+
+    def test_no_compression_leaves_carry_no_code_width(self, child_soc):
+        """An uncompressed leaf core has no decompressor input width."""
+        members = [ChildSocCore(child_soc), _leaf("top1", 10, 9)]
+        plan = optimize_hierarchical("p", members, 12, compression="none")
+        for slot in plan.architecture.scheduled:
+            assert slot.config.code_width is None

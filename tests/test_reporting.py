@@ -4,6 +4,8 @@ Driver tests here use the smallest workable configurations; the full
 paper-scale runs live in the benchmark harness.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.reporting.tables import format_float, format_table
@@ -107,6 +109,23 @@ class TestTableFormatting:
         assert row.volume_reduction_vs_initial == pytest.approx(20.0)
         text = format_table3([row])
         assert "average time reduction, all designs: 10.00x" in text
+
+    def test_table3_text_ignores_cpu_seconds(self):
+        """The recorded table is a function of the plans alone."""
+        row = Table3Row(
+            design="s",
+            gates=10,
+            initial_volume_bits=4_000_000,
+            tam_width=16,
+            time_no_tdc=1_000_000,
+            volume_no_tdc=2_000_000,
+            cpu_no_tdc=0.5,
+            time_tdc=100_000,
+            volume_tdc=200_000,
+            cpu_tdc=1.5,
+        )
+        slower = dataclasses.replace(row, cpu_no_tdc=7.25, cpu_tdc=9.75)
+        assert format_table3([slower]) == format_table3([row])
 
     def test_table3_zero_division_guard(self):
         row = Table3Row(
