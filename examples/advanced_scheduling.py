@@ -19,10 +19,9 @@ Four short studies on the same three-core workload:
 from repro.core.multifrequency import optimize_multifrequency
 from repro.core.optimal import optimal_schedule
 from repro.core.partition import partitions_list
-from repro.core.preemption import schedule_preemptive
 from repro.core.robust import evaluate_under_uncertainty, robust_search
 from repro.core.scheduler import schedule_cores
-from repro.core.timeline import schedule_constrained
+from repro.core.timeline import schedule_constrained, schedule_preemptive
 from repro.explore.dse import analysis_for
 from repro.search import run_search
 from repro.soc.core import Core

@@ -489,11 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--max-tams", type=int, default=None)
     plan.add_argument(
         "--strategy",
-        choices=["auto", "exhaustive", "greedy", "anneal", "evolutionary"],
         default="auto",
-        help="architecture-search backend (see docs/search.md); the "
-        "constrained and per-tam architecture stages accept auto, "
-        "exhaustive and greedy only",
+        help="architecture-search backend: auto, exhaustive, greedy, "
+        "anneal, evolutionary, or one added with register_backend (see "
+        "docs/search.md); the constrained and per-tam architecture "
+        "stages accept auto, exhaustive and greedy only",
     )
     plan.add_argument(
         "--search-opt",

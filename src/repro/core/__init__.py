@@ -33,7 +33,9 @@ from repro.core.hardware import decompressor_cost, DecompressorCost
 from repro.core.timeline import (
     ConstrainedSchedule,
     PrecedenceError,
+    Segment,
     schedule_constrained,
+    schedule_preemptive,
 )
 from repro.core.optimal import OptimalOutcome, optimal_schedule
 from repro.core.abort_on_fail import (
@@ -41,7 +43,6 @@ from repro.core.abort_on_fail import (
     expected_session_time,
     reorder_within_tams,
 )
-from repro.core.preemption import PreemptiveSchedule, Segment, schedule_preemptive
 from repro.core.multifrequency import (
     FrequencyTam,
     MultiFrequencyPlan,
@@ -78,7 +79,6 @@ __all__ = [
     "expected_session_time",
     "expected_improvement",
     "reorder_within_tams",
-    "PreemptiveSchedule",
     "Segment",
     "schedule_preemptive",
     "FrequencyTam",

@@ -1,4 +1,4 @@
-"""Constrained test scheduling: power budgets and precedence (extension).
+"""Constrained test scheduling: power, precedence, preemption (extension).
 
 The paper's scheduler packs cores back-to-back per TAM.  Real test
 plans carry two further constraint families the SOC test-scheduling
@@ -11,20 +11,36 @@ literature (including the authors' follow-up work) treats as standard:
   completed (e.g. a memory built off a repaired block, or diagnostic
   ordering).
 
-:func:`schedule_constrained` extends the longest-first list heuristic
-with both: a core's start on a TAM may be *delayed* past the bus-free
-time (inserting TAM idle time) until its predecessors are done and the
-power profile admits it.  With no constraints given it reduces exactly
-to the paper's scheduler (property-tested).
+Both schedulers here run the paper's longest-first list heuristic in
+one loop and differ only in how a core is placed on a TAM:
+
+* :func:`schedule_constrained` starts a core after its TAM's last
+  test, *delayed* past the bus-free time (inserting TAM idle time)
+  until its predecessors are done and the power profile admits it.
+  With no constraints given it reduces exactly to the paper's
+  scheduler (property-tested).
+* :func:`schedule_preemptive` lets a test be *split* at pattern
+  boundaries (Iyengar & Chakrabarty, "System-on-a-Chip Test Scheduling
+  With Precedence Relationships, Preemption, and Power Constraints"):
+  when a power budget blocks a long test, its remainder resumes later
+  and shorter tests fill the gap.  A core fills the earliest TAM-free,
+  power-feasible windows piecewise, up to ``max_segments`` pieces (each
+  one a separate pattern burst on the ATE); the final piece runs to
+  completion.  With no power budget it degenerates to back-to-back
+  non-preemptive scheduling.
+
+Both return a :class:`ConstrainedSchedule` of :class:`Segment` pieces
+(a non-preemptive test is one segment), and :func:`power_steps` is the
+power sweep they share with :mod:`repro.reporting.profile`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.architecture import (
-    CoreConfig,
     DecompressorPlacement,
     ScheduledCore,
     Tam,
@@ -32,16 +48,32 @@ from repro.core.architecture import (
 )
 from repro.core.scheduler import ConfigFn, TimeFn
 
+#: Windows smaller than this are not worth a preemption (ATE burst
+#: setup dominates); expressed in cycles.
+MIN_SEGMENT = 1
+
+#: Where one core's test goes on one TAM: ``(start, end)`` pieces.
+_Pieces = list[tuple[int, int]]
+
 
 @dataclass(frozen=True)
-class PlacedInterval:
-    """One placed core test on the global timeline."""
+class Segment:
+    """One contiguous piece of a placed core test on the global timeline.
+
+    A non-preemptive test is one segment; the pieces of a split test
+    are numbered from 0 in start order.
+    """
 
     name: str
     tam: int
     start: int
     end: int
     power: float
+    index: int = 0
+
+    @property
+    def duration(self) -> int:
+        return self.end - self.start
 
 
 @dataclass(frozen=True)
@@ -49,30 +81,66 @@ class ConstrainedSchedule:
     """Outcome of constrained scheduling for one TAM partition."""
 
     widths: tuple[int, ...]
-    intervals: tuple[PlacedInterval, ...]
+    segments: tuple[Segment, ...]
     makespan: int
     peak_power: float
 
-    def interval_for(self, name: str) -> PlacedInterval:
-        for interval in self.intervals:
-            if interval.name == name:
-                return interval
-        raise KeyError(name)
+    def segments_for(self, name: str) -> tuple[Segment, ...]:
+        return tuple(
+            sorted(
+                (s for s in self.segments if s.name == name),
+                key=lambda s: s.start,
+            )
+        )
 
     @property
     def tam_idle_cycles(self) -> int:
         """Total bus idle time inserted to satisfy the constraints."""
         idle = 0
-        by_tam: dict[int, list[PlacedInterval]] = {}
-        for interval in self.intervals:
-            by_tam.setdefault(interval.tam, []).append(interval)
+        by_tam: dict[int, list[Segment]] = {}
+        for segment in self.segments:
+            by_tam.setdefault(segment.tam, []).append(segment)
         for items in by_tam.values():
-            items.sort(key=lambda iv: iv.start)
+            items.sort(key=lambda s: s.start)
             clock = 0
-            for iv in items:
-                idle += iv.start - clock
-                clock = iv.end
+            for segment in items:
+                idle += segment.start - clock
+                clock = segment.end
         return idle
+
+    @property
+    def preemption_count(self) -> int:
+        """Total number of splits across all cores."""
+        return len(self.segments) - len({s.name for s in self.segments})
+
+
+def power_steps(
+    spans: Iterable[tuple[int, int, float]],
+) -> list[tuple[int, float]]:
+    """Summed power over time as ``(time, level)`` breakpoints from time 0.
+
+    ``spans`` are ``(start, end, power)`` triples.  Each breakpoint gives
+    the level from its time until the next one.  Events are summed in
+    ``(time, delta)`` order: within one time the level first falls, then
+    rises, so no level between breakpoints exceeds both of its
+    neighbours and the highest breakpoint is the profile's peak.
+    """
+    events: list[tuple[int, float]] = []
+    for start, end, power in spans:
+        events.append((start, power))
+        events.append((end, -power))
+    events.sort()
+    level = 0.0
+    steps: list[tuple[int, float]] = []
+    for time, delta in events:
+        level += delta
+        if steps and steps[-1][0] == time:
+            steps[-1] = (time, level)
+        else:
+            steps.append((time, level))
+    if not steps or steps[0][0] > 0:
+        steps.insert(0, (0, 0.0))
+    return steps
 
 
 class PrecedenceError(ValueError):
@@ -111,7 +179,7 @@ def _check_precedence(
 
 
 def _power_ok(
-    placed: Sequence[PlacedInterval],
+    placed: Sequence[Segment],
     start: int,
     end: int,
     power: float,
@@ -136,44 +204,145 @@ def _power_ok(
     return True
 
 
-def _earliest_power_feasible(
-    placed: Sequence[PlacedInterval],
+def _feasible_windows(
+    segments: Sequence[Segment],
+    tam: int,
+    ready: int,
+    power: float,
+    budget: float | None,
+    horizon: int,
+) -> list[tuple[int, int]]:
+    """Windows >= ready where TAM ``tam`` is free and power admits ``power``.
+
+    ``horizon`` is a time past every existing segment, so the last
+    window always ends *exactly* at ``horizon``: every segment ends at
+    or before ``horizon - 1``, which makes the final sweep interval
+    TAM-free, and the caller pre-checks that ``power`` alone fits the
+    budget.  Callers rely on that trailing window as the place where a
+    test can always run to completion (the schedule simply grows past
+    the horizon).
+    """
+    # Candidate boundaries: every segment start/end plus `ready`.
+    points = {ready, horizon}
+    for segment in segments:
+        if segment.end > ready:
+            points.add(max(ready, segment.start))
+            points.add(segment.end)
+    ordered = sorted(points)
+
+    def ok(t0: int, t1: int) -> bool:
+        for segment in segments:
+            if segment.tam == tam and segment.start < t1 and t0 < segment.end:
+                return False
+        if budget is not None:
+            level = power
+            for segment in segments:
+                if segment.start < t1 and t0 < segment.end:
+                    level += segment.power
+            if level > budget + 1e-9:
+                return False
+        return True
+
+    windows: list[tuple[int, int]] = []
+    for t0, t1 in zip(ordered, ordered[1:]):
+        if t1 <= t0:
+            continue
+        if ok(t0, t1):
+            if windows and windows[-1][1] == t0:
+                windows[-1] = (windows[-1][0], t1)
+            else:
+                windows.append((t0, t1))
+    assert windows and windows[-1][1] == horizon, (
+        "feasible-window sweep must end with a window closing at the "
+        f"horizon; got {windows} for horizon {horizon}"
+    )
+    return windows
+
+
+def _place_contiguous(
+    placed: Sequence[Segment],
+    tam_free: Sequence[int],
+    tam: int,
     ready: int,
     duration: int,
     power: float,
-    budget: float,
-) -> int | None:
-    """Earliest start >= ready where the window fits the power budget."""
-    if power > budget:
-        return None
+    budget: float | None,
+) -> _Pieces | None:
+    """One piece after the TAM's last test, as early as power admits."""
+    earliest = max(ready, tam_free[tam])
+    if budget is None:
+        return [(earliest, earliest + duration)]
     candidates = sorted(
-        {ready} | {iv.end for iv in placed if iv.end > ready}
+        {earliest} | {iv.end for iv in placed if iv.end > earliest}
     )
     for start in candidates:
         if _power_ok(placed, start, start + duration, power, budget):
-            return start
+            return [(start, start + duration)]
     return None  # unreachable: past every placed end the profile is empty
 
 
-def schedule_constrained(
+def _place_piecewise(
+    placed: Sequence[Segment],
+    tam_free: Sequence[int],
+    tam: int,
+    ready: int,
+    duration: int,
+    power: float,
+    budget: float | None,
+    *,
+    max_segments: int,
+) -> _Pieces | None:
+    """Up to ``max_segments`` pieces in the earliest feasible windows.
+
+    Pieces may fill gaps before the TAM's last test, so ``tam_free``
+    goes unused: the windows themselves are TAM-free.
+    """
+    horizon = max((s.end for s in placed), default=0) + 1
+    windows = _feasible_windows(placed, tam, ready, power, budget, horizon)
+    pieces: _Pieces = []
+    remaining = duration
+    for w_index, (t0, t1) in enumerate(windows):
+        is_last_window = w_index == len(windows) - 1
+        if len(pieces) == max_segments - 1 or is_last_window:
+            # Final allowed piece: must run to completion, so it needs
+            # an open-ended window or one long enough.
+            if is_last_window or t1 - t0 >= remaining:
+                return pieces + [(t0, t0 + remaining)]
+            continue
+        take = min(remaining, t1 - t0)
+        if take < MIN_SEGMENT:
+            continue
+        pieces.append((t0, t0 + take))
+        remaining -= take
+        if remaining == 0:
+            return pieces
+    return None
+
+
+def _list_schedule(
     core_names: Sequence[str],
     widths: Sequence[int],
     time_of: TimeFn,
     *,
-    power_of: Mapping[str, float] | Callable[[str], float] | None = None,
-    power_budget: float | None = None,
-    precedence: Sequence[tuple[str, str]] = (),
+    power_of: Mapping[str, float] | Callable[[str], float] | None,
+    power_budget: float | None,
+    precedence: Sequence[tuple[str, str]],
+    max_segments: int | None = None,
 ) -> ConstrainedSchedule:
-    """Longest-first list scheduling with power and precedence constraints.
+    """The longest-first list loop both schedulers share.
 
-    Raises :class:`PrecedenceError` for malformed precedence and
-    ``ValueError`` when a single core's power already exceeds the budget
-    (no schedule exists under the flat model).
+    ``max_segments`` of ``None`` places each core in one piece after
+    its TAM's last test; a number places it piecewise.
     """
     if not widths:
         raise ValueError("at least one TAM is required")
     if any(w < 1 for w in widths):
         raise ValueError(f"TAM widths must be >= 1, got {tuple(widths)}")
+    if max_segments is not None and max_segments < 1:
+        raise ValueError(f"max_segments must be >= 1, got {max_segments}")
+    if len(set(core_names)) != len(core_names):
+        duplicates = sorted({n for n in core_names if core_names.count(n) > 1})
+        raise ValueError(f"duplicate core names: {duplicates}")
     preds = _check_precedence(core_names, precedence)
 
     def power(name: str) -> float:
@@ -191,76 +360,113 @@ def schedule_constrained(
                     f"({power(name):.2f} > {power_budget:.2f})"
                 )
 
+    place: Callable[..., _Pieces | None] = (
+        _place_contiguous
+        if max_segments is None
+        else partial(_place_piecewise, max_segments=max_segments)
+    )
     widest = max(widths)
-    placed: list[PlacedInterval] = []
+    # The longest-first key never changes, so sort once; each step
+    # places the first unplaced core whose predecessors are all placed.
+    order = sorted(core_names, key=lambda n: (-time_of(n, widest), n))
+    placed: list[Segment] = []
+    tam_free = [0] * len(widths)  # end of each TAM's last placed test
     finished: dict[str, int] = {}
-    tam_free = [0] * len(widths)
-    pending = set(core_names)
-
-    while pending:
-        ready_names = [
-            name for name in pending if preds[name] <= set(finished)
-        ]
-        # Longest-first among ready cores (deterministic tie-break).
-        ready_names.sort(key=lambda n: (-time_of(n, widest), n))
-        name = ready_names[0]
-        ready_at = max(
-            (finished[p] for p in preds[name]), default=0
+    while len(finished) < len(order):
+        name = next(
+            n
+            for n in order
+            if n not in finished and preds[n] <= finished.keys()
         )
-        best: tuple[int, int, int] | None = None  # (end, tam, start)
+        ready_at = max((finished[p] for p in preds[name]), default=0)
+        core_power = power(name)
+        best: _Pieces | None = None
+        best_tam = -1
         for tam, width in enumerate(widths):
-            duration = time_of(name, width)
-            earliest = max(tam_free[tam], ready_at)
-            if power_budget is not None:
-                start = _earliest_power_feasible(
-                    placed, earliest, duration, power(name), power_budget
-                )
-                if start is None:
-                    continue
-            else:
-                start = earliest
+            pieces = place(
+                placed, tam_free, tam, ready_at, time_of(name, width),
+                core_power, power_budget,
+            )
             # Earliest finish, ties broken by TAM index -- the same
             # effective order the paper scheduler uses, so the
             # no-constraints case reduces to it exactly (breaking ties
             # by start instead diverged on equal-finish candidates and
             # could end with a worse makespan; found by fuzzing).
-            key = (start + duration, tam, start)
-            if best is None or key < best:
-                best = key
+            if pieces is not None and (
+                best is None or pieces[-1][1] < best[-1][1]
+            ):
+                best, best_tam = pieces, tam
         if best is None:
             raise ValueError(f"no feasible placement for core {name!r}")
-        end, tam, start = best
-        placed.append(
-            PlacedInterval(
-                name=name, tam=tam, start=start, end=end, power=power(name)
-            )
-        )
-        finished[name] = end
-        tam_free[tam] = end
-        pending.discard(name)
+        placed += [
+            Segment(name, best_tam, start, end, core_power, index)
+            for index, (start, end) in enumerate(best)
+        ]
+        finished[name] = tam_free[best_tam] = best[-1][1]
 
-    makespan = max((iv.end for iv in placed), default=0)
-    peak = _peak_power(placed)
+    steps = power_steps((s.start, s.end, s.power) for s in placed)
     return ConstrainedSchedule(
         widths=tuple(widths),
-        intervals=tuple(placed),
-        makespan=makespan,
-        peak_power=peak,
+        segments=tuple(placed),
+        makespan=max((s.end for s in placed), default=0),
+        # Never below the idle level, even if zero-length tests at one
+        # time sum to a rounding error under it.
+        peak_power=max(0.0, max(level for _, level in steps)),
     )
 
 
-def _peak_power(placed: Sequence[PlacedInterval]) -> float:
-    events: list[tuple[int, float]] = []
-    for iv in placed:
-        events.append((iv.start, iv.power))
-        events.append((iv.end, -iv.power))
-    events.sort()
-    level = 0.0
-    peak = 0.0
-    for _, delta in events:
-        level += delta
-        peak = max(peak, level)
-    return peak
+def schedule_constrained(
+    core_names: Sequence[str],
+    widths: Sequence[int],
+    time_of: TimeFn,
+    *,
+    power_of: Mapping[str, float] | Callable[[str], float] | None = None,
+    power_budget: float | None = None,
+    precedence: Sequence[tuple[str, str]] = (),
+) -> ConstrainedSchedule:
+    """Longest-first list scheduling with power and precedence constraints.
+
+    Raises :class:`PrecedenceError` for malformed precedence and
+    ``ValueError`` for duplicate core names and when a single core's
+    power already exceeds the budget (no schedule exists under the flat
+    model).
+    """
+    return _list_schedule(
+        core_names,
+        widths,
+        time_of,
+        power_of=power_of,
+        power_budget=power_budget,
+        precedence=precedence,
+    )
+
+
+def schedule_preemptive(
+    core_names: Sequence[str],
+    widths: Sequence[int],
+    time_of: TimeFn,
+    *,
+    power_of: Mapping[str, float] | Callable[[str], float] | None = None,
+    power_budget: float | None = None,
+    precedence: Sequence[tuple[str, str]] = (),
+    max_segments: int = 3,
+) -> ConstrainedSchedule:
+    """Constrained list scheduling with bounded preemption.
+
+    Each core may split into at most ``max_segments`` contiguous pieces;
+    the last piece always runs to completion.  Raises as
+    :func:`schedule_constrained` does, and ``ValueError`` when
+    ``max_segments`` is below 1.
+    """
+    return _list_schedule(
+        core_names,
+        widths,
+        time_of,
+        power_of=power_of,
+        power_budget=power_budget,
+        precedence=precedence,
+        max_segments=max_segments,
+    )
 
 
 def constrained_architecture(
@@ -271,14 +477,17 @@ def constrained_architecture(
     placement: DecompressorPlacement,
     ate_channels: int,
 ) -> TestArchitecture:
-    """Materialize a constrained schedule as a :class:`TestArchitecture`."""
+    """Materialize a non-preemptive schedule as a :class:`TestArchitecture`."""
     tams = tuple(Tam(index=i, width=w) for i, w in enumerate(schedule.widths))
     scheduled = []
-    for iv in schedule.intervals:
-        config = config_of(iv.name, schedule.widths[iv.tam])
+    for segment in schedule.segments:
+        config = config_of(segment.name, schedule.widths[segment.tam])
         scheduled.append(
             ScheduledCore(
-                config=config, tam_index=iv.tam, start=iv.start, end=iv.end
+                config=config,
+                tam_index=segment.tam,
+                start=segment.start,
+                end=segment.end,
             )
         )
     return TestArchitecture(

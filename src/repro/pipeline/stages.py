@@ -340,7 +340,7 @@ def _constrained_outcome(
 ) -> ScheduleOutcome:
     """The constrained flow's search objective (``table`` goes unused)."""
     schedule = _schedule_constrained(ctx, widths)
-    tam_of = {interval.name: interval.tam for interval in schedule.intervals}
+    tam_of = {segment.name: segment.tam for segment in schedule.segments}
     return ScheduleOutcome(
         widths=schedule.widths,
         makespan=schedule.makespan,

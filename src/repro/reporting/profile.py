@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.architecture import TestArchitecture
+from repro.core.timeline import power_steps
 
 
 @dataclass(frozen=True)
@@ -83,19 +84,13 @@ def power_profile(
     """Step function of SOC power over time: (time, level) breakpoints.
 
     The returned list starts at time 0 and each entry gives the level
-    from that time until the next breakpoint.
+    from that time until the next breakpoint; it is the same sweep the
+    constrained schedulers take their peak from.
     """
-    events: dict[int, float] = {0: 0.0}
-    for slot in architecture.scheduled:
-        p = float(power_of.get(slot.config.core_name, 0.0))
-        events[slot.start] = events.get(slot.start, 0.0) + p
-        events[slot.end] = events.get(slot.end, 0.0) - p
-    level = 0.0
-    profile: list[tuple[int, float]] = []
-    for t in sorted(events):
-        level += events[t]
-        profile.append((t, level))
-    return profile
+    return power_steps(
+        (slot.start, slot.end, float(power_of.get(slot.config.core_name, 0.0)))
+        for slot in architecture.scheduled
+    )
 
 
 def peak_power(profile: Sequence[tuple[int, float]]) -> float:

@@ -3,9 +3,8 @@
 Public surface:
 
 * :func:`verify_plan` / :func:`verify_architecture` /
-  :func:`verify_constrained` / :func:`verify_preemptive` /
-  :func:`verify_packed` -- re-derive a plan's invariants from the
-  paper's models and report violations.
+  :func:`verify_constrained` / :func:`verify_packed` -- re-derive a
+  plan's invariants from the paper's models and report violations.
 * :class:`VerificationReport` / :class:`Violation` /
   :class:`PlanVerificationError` -- the result types.
 * :func:`corrupt_result` / :func:`corrupt_architecture` -- deliberate
@@ -27,7 +26,6 @@ from repro.verify.invariants import (
     verify_constrained,
     verify_packed,
     verify_plan,
-    verify_preemptive,
 )
 
 __all__ = [
@@ -41,5 +39,4 @@ __all__ = [
     "verify_constrained",
     "verify_packed",
     "verify_plan",
-    "verify_preemptive",
 ]

@@ -33,9 +33,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.preemption import schedule_preemptive
 from repro.core.scheduler import schedule_cores
-from repro.core.timeline import schedule_constrained
+from repro.core.timeline import schedule_constrained, schedule_preemptive
 from repro.explore.dse import analysis_for
 from repro.pipeline import RunConfig
 from repro.pipeline import plan as run_plan
@@ -47,7 +46,6 @@ from repro.verify.invariants import (
     VerificationReport,
     verify_constrained,
     verify_plan,
-    verify_preemptive,
 )
 
 
@@ -281,7 +279,7 @@ def fuzz_one(seed: int) -> list[Finding]:
         findings,
         seed,
         "preemptive",
-        verify_preemptive(
+        verify_constrained(
             preemptive,
             names,
             tables.time_of,

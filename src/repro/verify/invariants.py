@@ -1,13 +1,13 @@
 """Independent invariant checking for every plan shape the repo produces.
 
 The planners (:mod:`repro.core.scheduler`, :mod:`repro.core.partition`,
-:mod:`repro.core.timeline`, :mod:`repro.core.preemption`) and the three
-delivery paths (direct, pipeline, ``repro.serve``) all promise the same
-contract: a plan's per-core test times come from the paper's wrapper and
-decompressor models, cores sharing a TAM never overlap, the TAM widths
-fit the ATE channel budget, power stays under the budget, precedence
-holds, and the headline numbers (makespan, peak power, volume) equal
-what the schedule actually implies.
+:mod:`repro.core.timeline`) and the three delivery paths (direct,
+pipeline, ``repro.serve``) all promise the same contract: a plan's
+per-core test times come from the paper's wrapper and decompressor
+models, cores sharing a TAM never overlap, the TAM widths fit the ATE
+channel budget, power stays under the budget, precedence holds, and
+the headline numbers (makespan, peak power, volume) equal what the
+schedule actually implies.
 
 This module re-derives each of those facts from first principles --
 :func:`repro.wrapper.timing.scan_test_time` for uncompressed cores, the
@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence, TYPE_CHECKING
 
 from repro.core.architecture import DecompressorPlacement, TestArchitecture
-from repro.core.preemption import PreemptiveSchedule
-from repro.core.timeline import ConstrainedSchedule
+from repro.core.timeline import ConstrainedSchedule, Segment
 from repro.soc.soc import Soc
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -816,74 +815,29 @@ def verify_constrained(
     power_of: Mapping[str, float] | None = None,
     power_budget: float | None = None,
     precedence: Sequence[tuple[str, str]] = (),
+    max_segments: int | None = None,
 ) -> VerificationReport:
-    """Re-check a :class:`ConstrainedSchedule` against its inputs."""
+    """Re-check a :class:`ConstrainedSchedule` against its inputs.
+
+    A core's test is one or more segments on one TAM: a non-preemptive
+    schedule is the one-segment case, and ``max_segments`` caps the
+    pieces of a preemptive one.
+    """
     out = _Collector()
     out.ran("tam-index")
     out.ran("slot-bounds")
-    slots: list[_Slot] = []
-    for iv in schedule.intervals:
-        if not 0 <= iv.tam < len(schedule.widths):
-            out.fail(
-                "tam-index", f"unknown TAM {iv.tam}", core=iv.name
-            )
-            continue
-        if iv.start < 0:
-            out.fail("slot-bounds", f"negative start {iv.start}", core=iv.name)
-        expected = time_of(iv.name, schedule.widths[iv.tam])
-        if iv.end - iv.start != expected:
-            out.fail(
-                "slot-bounds",
-                f"interval [{iv.start}, {iv.end}) has length "
-                f"{iv.end - iv.start} != test time {expected} on a "
-                f"{schedule.widths[iv.tam]}-bit TAM",
-                core=iv.name,
-                tam=iv.tam,
-            )
-        slots.append(_Slot(iv.name, iv.tam, iv.start, iv.end))
-    _check_membership(out, [iv.name for iv in schedule.intervals], core_names)
-    _check_tam_overlap(out, slots)
-    out.ran("makespan")
-    actual = max((iv.end for iv in schedule.intervals), default=0)
-    if schedule.makespan != actual:
-        out.fail(
-            "makespan",
-            f"stated makespan {schedule.makespan} != last finish {actual}",
-        )
-    _check_power(
-        out,
-        slots,
-        power_of or {},
-        power_budget,
-        schedule.peak_power if power_of is not None else None,
-    )
-    _check_precedence(out, slots, precedence)
-    return out.report("constrained-schedule")
-
-
-def verify_preemptive(
-    schedule: PreemptiveSchedule,
-    core_names: Sequence[str],
-    time_of: TimeFn,
-    *,
-    power_of: Mapping[str, float] | None = None,
-    power_budget: float | None = None,
-    precedence: Sequence[tuple[str, str]] = (),
-    max_segments: int | None = None,
-) -> VerificationReport:
-    """Re-check a :class:`PreemptiveSchedule` against its inputs."""
-    out = _Collector()
-    out.ran("tam-index")
     out.ran("segment-order")
     out.ran("segment-sum")
     if max_segments is not None:
         out.ran("segment-count")
     slots: list[_Slot] = []
-    by_core: dict[str, list] = {}
+    by_core: dict[str, list[Segment]] = {}
     for seg in schedule.segments:
         if not 0 <= seg.tam < len(schedule.widths):
             out.fail("tam-index", f"unknown TAM {seg.tam}", core=seg.name)
             continue
+        if seg.start < 0:
+            out.fail("slot-bounds", f"negative start {seg.start}", core=seg.name)
         by_core.setdefault(seg.name, []).append(seg)
         slots.append(_Slot(seg.name, seg.tam, seg.start, seg.end))
     _check_membership(out, sorted(by_core), core_names)
@@ -953,4 +907,4 @@ def verify_preemptive(
         schedule.peak_power if power_of is not None else None,
     )
     _check_precedence(out, slots, precedence)
-    return out.report("preemptive-schedule")
+    return out.report("constrained-schedule")

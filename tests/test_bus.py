@@ -1,11 +1,16 @@
 """Tests for the bus-based test transport planner."""
 
+import dataclasses
+
 import pytest
 
 import repro
-from repro.core.bus import BusPlan, optimize_bus
+from repro.core.bus import BUS_MODES, BusPlan, optimize_bus
+from repro.explore.dse import analysis_for
 from repro.soc.core import Core
+from repro.soc.industrial import load_design
 from repro.soc.soc import Soc
+from repro.verify import verify_constrained
 
 
 @pytest.fixture
@@ -41,7 +46,7 @@ class TestOptimizeBus:
 
     def test_every_core_scheduled(self, bus_soc):
         plan = optimize_bus(bus_soc, 12, compression="per-core")
-        scheduled = {iv.name for iv in plan.schedule.intervals}
+        scheduled = {s.name for s in plan.schedule.segments}
         assert scheduled == set(bus_soc.core_names)
 
     def test_above_lower_bound(self, bus_soc):
@@ -88,3 +93,61 @@ class TestOptimizeBus:
         assert plan.cpu_seconds > 0
         assert plan.moves_evaluated >= 1
         assert plan.compression == "auto"
+
+
+def verify_bus(soc, plan, schedule=None):
+    """``verify_constrained`` on a bus plan, the bandwidth as the budget.
+
+    Each core's test time and bus tap are re-derived from its analysis
+    at the rate the plan grants it, not read off the schedule.
+    """
+    times, taps = {}, {}
+    for core in soc.cores:
+        analysis = analysis_for(core)
+        rate = plan.rates[core.name]
+        plain = analysis.uncompressed_point(rate).test_time
+        best = None
+        if plan.compression != "none":
+            best = analysis.best_compressed_for_tam(rate)
+        if best is None or (
+            plan.compression == "auto" and plain < best.test_time
+        ):
+            times[core.name], taps[core.name] = plain, rate
+        else:
+            times[core.name], taps[core.name] = best.test_time, best.code_width
+    return verify_constrained(
+        schedule or plan.schedule,
+        soc.core_names,
+        lambda name, _width: times[name],
+        power_of={name: float(tap) for name, tap in taps.items()},
+        power_budget=float(plan.bus_width),
+    )
+
+
+class TestBusVerification:
+    @pytest.mark.parametrize("mode", BUS_MODES)
+    def test_fixture_plans_verify(self, bus_soc, mode):
+        plan = optimize_bus(bus_soc, 12, compression=mode)
+        report = verify_bus(bus_soc, plan)
+        assert report.ok, report.summary()
+        assert "power-budget" in report.checks
+
+    @pytest.mark.parametrize("mode", BUS_MODES)
+    def test_d695_plans_verify(self, mode):
+        soc = load_design("d695")
+        report = verify_bus(soc, optimize_bus(soc, 16, compression=mode))
+        assert report.ok, report.summary()
+
+    def test_segment_moved_past_the_bandwidth_flagged(self, bus_soc):
+        plan = optimize_bus(bus_soc, 12, compression="per-core")
+        segments = plan.schedule.segments
+        last = max(segments, key=lambda s: s.start)
+        busy = sum(s.power for s in segments if s.start == 0)
+        assert busy + last.power > plan.bus_width  # the bus is full at 0
+        moved = dataclasses.replace(last, start=0, end=last.duration)
+        tampered = dataclasses.replace(
+            plan.schedule,
+            segments=tuple(moved if s is last else s for s in segments),
+        )
+        report = verify_bus(bus_soc, plan, tampered)
+        assert any(v.code == "power-budget" for v in report.violations)

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import random
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.search import PartitionSearchResult, backend, register_backend
 
 
 class TestParser:
@@ -85,6 +88,49 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "peak power" in out
+
+
+class _Random100:
+    """The ``docs/search.md`` example: cost 100 random partitions whole."""
+
+    name = "random100"
+    hyperparameters = {"seed": int}
+
+    def run(self, evaluator, space, *, seed=0):
+        rng = random.Random(seed)
+        most = min(space.max_parts, space.total_width // space.min_width)
+        for _ in range(100):
+            widths = [space.min_width] * rng.randint(1, most)
+            for _ in range(space.total_width - sum(widths)):
+                widths[rng.randrange(len(widths))] += 1
+            evaluator.schedule(sorted(widths, reverse=True))
+        return PartitionSearchResult(
+            outcome=evaluator.best,
+            partitions_evaluated=evaluator.evaluations,
+            strategy=self.name,
+        )
+
+
+class TestRegisteredStrategy:
+    """``plan --strategy`` reaches any backend in the registry."""
+
+    @pytest.fixture
+    def random100(self):
+        register_backend(_Random100())
+        yield
+        del backend._BACKENDS["random100"]
+
+    def test_registered_backend_plans(self, random100, capsys):
+        argv = ["plan", "d695", "--width", "16", "--strategy", "random100"]
+        assert main(argv + ["--no-cache"]) == 0
+        assert "(random100)" in capsys.readouterr().out
+
+    def test_unregistered_backend_lists_the_registry(self, capsys):
+        argv = ["plan", "d695", "--width", "16", "--strategy", "random100"]
+        assert main(argv + ["--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown strategy 'random100'" in err
+        assert "available: auto, anneal, evolutionary, exhaustive, greedy" in err
 
 
 class TestBenchmarksCommand:

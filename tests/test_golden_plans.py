@@ -9,7 +9,7 @@ must leave every one of them unchanged.
 
 Two more sections pin what a plan fingerprint does not reach:
 
-* ``preemptive`` -- :func:`~repro.core.preemption.schedule_preemptive`
+* ``preemptive`` -- :func:`~repro.core.timeline.schedule_preemptive`
   on every catalogue SOC over per-core lookup tables at W=16, under
   two flat power budgets per partition; a fingerprint is the sha256 of
   the widths, makespan, peak power and every segment.
@@ -35,8 +35,8 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 import pytest
 
-from repro.core.preemption import PreemptiveSchedule, schedule_preemptive
 from repro.core.robust import robust_plan
+from repro.core.timeline import ConstrainedSchedule, schedule_preemptive
 from repro.pipeline import PlanResult, RunConfig, plan
 from repro.pipeline.tables import LookupTables
 from repro.power.model import power_table
@@ -154,7 +154,7 @@ PREEMPTIVE_PARTITIONS = ((8, 8), (6, 5, 5))
 PREEMPTIVE_FRACTIONS = (0.6, 0.3)
 
 
-def preemptive_fingerprint(schedule: PreemptiveSchedule) -> str:
+def preemptive_fingerprint(schedule: ConstrainedSchedule) -> str:
     return _digest(
         {
             "widths": list(schedule.widths),
@@ -168,7 +168,7 @@ def preemptive_fingerprint(schedule: PreemptiveSchedule) -> str:
     )
 
 
-def preemptive_cases(design: str) -> Iterator[tuple[str, PreemptiveSchedule]]:
+def preemptive_cases(design: str) -> Iterator[tuple[str, ConstrainedSchedule]]:
     """``(case key, schedule)`` for every pinned preemptive schedule."""
     soc = load_design(design)
     names = list(soc.core_names)

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.core.preemption import (
+from repro.core.timeline import (
+    PrecedenceError,
     Segment,
     _feasible_windows,
+    schedule_constrained,
     schedule_preemptive,
 )
-from repro.core.timeline import PrecedenceError, schedule_constrained
 
 
 def flat_time(times):
@@ -54,6 +55,10 @@ class TestValidation:
             schedule_preemptive(
                 ["a"], [1], flat_time({"a": 1}), precedence=[("a", "a")]
             )
+
+    def test_duplicate_core_names(self):
+        with pytest.raises(ValueError, match=r"duplicate core names: \['a'\]"):
+            schedule_preemptive(["a", "a"], [1], flat_time({"a": 1}))
 
     def test_infeasible_power(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -12,6 +12,7 @@ from repro.reporting.profile import (
     tam_utilization,
 )
 from repro.soc.core import Core
+from repro.soc.industrial import load_design
 from repro.soc.soc import Soc
 
 
@@ -135,6 +136,7 @@ class TestPowerProfile:
         assert profile[-1][1] == pytest.approx(0.0, abs=1e-9)
 
     def test_peak_matches_constrained_scheduler(self):
+        """The reporting sweep is the schedulers': the peaks are equal."""
         cores = tuple(
             Core(
                 name=f"p{i}",
@@ -148,11 +150,22 @@ class TestPowerProfile:
             for i in range(3)
         )
         soc = Soc(name="pp", cores=cores)
-        table = power_table(soc, compression=True)
-        budget = sum(table.values())  # loose
-        plan = repro.plan(soc, 9, repro.RunConfig(power_budget=budget))
-        profile = power_profile(plan.architecture, table)
-        assert peak_power(profile) == pytest.approx(plan.peak_power)
+        cases = [(soc, 9, 1.0)]  # a loose budget: the sum of all powers
+        # The catalogue power plans, under the budgets max(f * sum, max).
+        for design in ("d695", "d2758", "System1", "System2", "System3",
+                       "System4"):
+            for width in (8, 12, 16, 24):
+                cases += [(load_design(design), width, f) for f in (0.6, 0.4)]
+        mismatches = []
+        for case_soc, width, fraction in cases:
+            table = power_table(case_soc, compression=True)
+            budget = max(fraction * sum(table.values()), max(table.values()))
+            config = repro.RunConfig(power_budget=budget)
+            plan = repro.plan(case_soc, width, config)
+            peak = peak_power(power_profile(plan.architecture, table))
+            if peak != plan.peak_power:
+                mismatches.append((case_soc.name, width, fraction, peak))
+        assert mismatches == []
 
     def test_levels_never_negative(self, planned):
         soc, plan = planned

@@ -12,8 +12,7 @@ from repro.compression.cubes import generate_cubes
 from repro.compression.dictionary import build_dictionary, canonicalize, decode, encode
 from repro.compression.estimator import estimate_codewords
 from repro.compression.selective import slice_costs
-from repro.core.preemption import schedule_preemptive
-from repro.core.timeline import schedule_constrained
+from repro.core.timeline import schedule_constrained, schedule_preemptive
 from repro.soc.core import Core
 from repro.wrapper.design import design_wrapper
 

@@ -5,8 +5,8 @@ import pytest
 from repro.core.scheduler import schedule_cores
 from repro.core.timeline import (
     PrecedenceError,
-    _peak_power,
-    PlacedInterval,
+    Segment,
+    power_steps,
     schedule_constrained,
 )
 
@@ -27,7 +27,7 @@ class TestUnconstrainedEquivalence:
     def test_back_to_back_per_tam(self):
         times = {"a": 4, "b": 3, "c": 2}
         schedule = schedule_constrained(list(times), [1], flat_time(times))
-        intervals = sorted(schedule.intervals, key=lambda iv: iv.start)
+        intervals = sorted(schedule.segments, key=lambda iv: iv.start)
         assert intervals[0].start == 0
         for first, second in zip(intervals, intervals[1:]):
             assert second.start == first.end
@@ -64,6 +64,10 @@ class TestValidation:
                 precedence=[("a", "b"), ("b", "a")],
             )
 
+    def test_duplicate_core_names(self):
+        with pytest.raises(ValueError, match=r"duplicate core names: \['a'\]"):
+            schedule_constrained(["a", "a"], [1], flat_time({"a": 1}))
+
     def test_infeasible_power(self):
         with pytest.raises(ValueError, match="exceeds the power budget"):
             schedule_constrained(
@@ -81,8 +85,8 @@ class TestPrecedence:
         schedule = schedule_constrained(
             list(times), [1, 1], flat_time(times), precedence=[("a", "b")]
         )
-        a = schedule.interval_for("a")
-        b = schedule.interval_for("b")
+        (a,) = schedule.segments_for("a")
+        (b,) = schedule.segments_for("b")
         assert b.start >= a.end
 
     def test_chain_of_three(self):
@@ -126,9 +130,9 @@ class TestPowerBudget:
 
         schedule = ConstrainedSchedule(
             widths=(1,),
-            intervals=(
-                PlacedInterval("a", 0, 0, 5, 0.0),
-                PlacedInterval("b", 0, 8, 12, 0.0),
+            segments=(
+                Segment("a", 0, 0, 5, 0.0),
+                Segment("b", 0, 8, 12, 0.0),
             ),
             makespan=12,
             peak_power=0.0,
@@ -169,12 +173,11 @@ class TestPowerBudget:
 
 class TestPeakPowerHelper:
     def test_overlapping_intervals(self):
-        placed = [
-            PlacedInterval("a", 0, 0, 10, 2.0),
-            PlacedInterval("b", 1, 5, 15, 3.0),
-            PlacedInterval("c", 2, 20, 25, 9.0),
+        steps = power_steps([(0, 10, 2.0), (5, 15, 3.0), (20, 25, 9.0)])
+        assert steps == [
+            (0, 2.0), (5, 5.0), (10, 3.0), (15, 0.0), (20, 9.0), (25, 0.0)
         ]
-        assert _peak_power(placed) == pytest.approx(9.0)
+        assert max(level for _, level in steps) == 9.0
 
     def test_empty(self):
-        assert _peak_power([]) == 0.0
+        assert power_steps([]) == [(0, 0.0)]

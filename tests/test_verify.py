@@ -1,10 +1,10 @@
 """Tests for the independent plan verifier across its delivery paths.
 
-Covers the four public checkers (:func:`verify_plan`,
-:func:`verify_architecture`, :func:`verify_constrained`,
-:func:`verify_preemptive`), the corruption helpers that feed them
-negative cases, the opt-in pipeline stage, the ``repro-soc verify``
-CLI subcommand, and the service's verification gate.
+Covers the public checkers (:func:`verify_plan`,
+:func:`verify_architecture`, :func:`verify_constrained`), the
+corruption helpers that feed them negative cases, the opt-in pipeline
+stage, the ``repro-soc verify`` CLI subcommand, and the service's
+verification gate.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.scheduler import schedule_cores
-from repro.core.preemption import schedule_preemptive
-from repro.core.timeline import schedule_constrained
+from repro.core.timeline import schedule_constrained, schedule_preemptive
 from repro.pipeline import RunConfig, plan
 from repro.reporting.export import result_to_json
 from repro.serve import JobState, PlanningService, PlanRequest, ServiceSettings
@@ -31,7 +30,6 @@ from repro.verify import (
     verify_architecture,
     verify_constrained,
     verify_plan,
-    verify_preemptive,
 )
 
 _CONFIG = RunConfig(compression="per-core", use_cache=False)
@@ -174,7 +172,7 @@ class TestScheduleCheckers:
             power_budget=3.0,
             max_segments=3,
         )
-        report = verify_preemptive(
+        report = verify_constrained(
             schedule,
             names,
             self.time_of,
@@ -186,10 +184,22 @@ class TestScheduleCheckers:
         tampered = dataclasses.replace(
             schedule, peak_power=schedule.peak_power + 1.0
         )
-        report = verify_preemptive(
+        report = verify_constrained(
             tampered, names, self.time_of, power_of=power
         )
         assert any(v.code == "peak-power" for v in report.violations)
+
+    def test_preemptive_segment_at_negative_time_reported(self):
+        names = sorted(self.TIMES)
+        schedule = schedule_preemptive(names, [1, 1], self.time_of)
+        (c,) = schedule.segments_for("c")
+        moved = dataclasses.replace(c, start=-20, end=-15)
+        tampered = dataclasses.replace(
+            schedule,
+            segments=tuple(moved if s is c else s for s in schedule.segments),
+        )
+        report = verify_constrained(tampered, names, self.time_of)
+        assert any(v.code == "slot-bounds" for v in report.violations)
 
     def test_missing_core_reported(self):
         schedule = schedule_constrained(["a", "b"], [1], self.time_of)
