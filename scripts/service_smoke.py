@@ -11,7 +11,9 @@ the service's whole contract in one pass:
 * every job completes and duplicate fetches return equal results,
 * the coalesced plan is semantically identical to a clean one,
 * SIGTERM produces a graceful drain: exit code 0 and a ``stopped``
-  event whose counters show no cancelled work.
+  event whose counters show no cancelled work,
+* and no child of the server (its warm workers) outlives it; this
+  check reads ``/proc`` and is skipped where there is none.
 
 Usage::
 
@@ -39,6 +41,8 @@ from repro.serve import connect_with_retry  # noqa: E402
 
 READY_DEADLINE_S = 60.0
 EXIT_DEADLINE_S = 120.0
+#: Seconds a child of the stopped server may take to exit.
+ORPHAN_DEADLINE_S = 5.0
 
 
 class SmokeError(AssertionError):
@@ -84,6 +88,32 @@ def _spawn_server() -> tuple[subprocess.Popen, dict]:
         if proc.poll() is not None:
             raise SmokeError(f"server exited early:\n{proc.stderr.read()}")
     raise SmokeError("server never announced readiness")
+
+
+def _proc_state(pid: int) -> tuple[str, int] | None:
+    """``(state, ppid)`` of a process from ``/proc``, or ``None``."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    fields = text.rsplit(")", 1)[1].split()
+    return fields[0], int(fields[1])
+
+
+def _alive(pid: int) -> bool:
+    state = _proc_state(pid)
+    return state is not None and state[0] not in ("Z", "X")
+
+
+def _children(pid: int) -> set[int]:
+    """Live direct children of ``pid``, from ``/proc``."""
+    found = set()
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit() and _alive(int(entry.name)):
+            state = _proc_state(int(entry.name))
+            if state is not None and state[1] == pid:
+                found.add(int(entry.name))
+    return found
 
 
 def main() -> int:
@@ -145,6 +175,12 @@ def main() -> int:
                     f"coalesced plan differs from clean plan on {field}",
                 )
 
+        has_proc = Path("/proc/self/stat").exists()
+        children = _children(proc.pid) if has_proc else set()
+        _check(
+            not has_proc or bool(children),
+            "the server has no worker process after its jobs",
+        )
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=EXIT_DEADLINE_S)
         stderr = proc.stderr.read()
@@ -155,11 +191,16 @@ def main() -> int:
             stopped["counters"].get("jobs_cancelled", 0) == 0,
             f"drain cancelled work: {stopped['counters']}",
         )
+        deadline = time.monotonic() + ORPHAN_DEADLINE_S
+        while time.monotonic() < deadline and any(map(_alive, children)):
+            time.sleep(0.05)
+        leaked = sorted(pid for pid in children if _alive(pid))
+        _check(not leaked, f"server children still alive after exit: {leaked}")
         print(
             "service smoke OK: 9 submissions, "
             f"{stopped['counters']['jobs_completed']} executions, "
             f"{stopped['counters']['jobs_deduped']} coalesced, "
-            "graceful drain"
+            f"graceful drain, {len(children)} children gone"
         )
         return 0
     finally:

@@ -695,8 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--isolation",
         choices=["process", "thread"],
         default="process",
-        help="process: killable subprocess per attempt (default); "
-        "thread: in-process, no preemptive timeout",
+        help="process: warm, killable worker processes, one job at a "
+        "time each (default); thread: in-process, no preemptive timeout",
     )
     serve.add_argument(
         "--state-dir",

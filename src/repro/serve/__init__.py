@@ -8,8 +8,8 @@ feeds it a stream of co-optimization requests:
   priority-ordered queue with explicit backpressure;
 * :mod:`repro.serve.protocol` -- the line-JSON wire format and the
   content fingerprint identical requests coalesce on;
-* :mod:`repro.serve.worker` -- per-attempt subprocess execution with
-  timeout, cancellation, and crash detection;
+* :mod:`repro.serve.worker` -- warm worker processes fed jobs over a
+  pipe, with timeout, cancellation, crash detection and recycling;
 * :mod:`repro.serve.service` -- :class:`PlanningService`, the asyncio
   orchestrator (dedup, retry with backoff, graceful shutdown with
   queue persistence, :mod:`repro.obs` integration);

@@ -10,13 +10,14 @@ asyncio event loop:
   and hands them to a bounded worker-slot pool
   (:func:`repro.parallel.resolve_jobs` sizes it, so ``REPRO_JOBS``
   means the same thing here as everywhere else in the engine);
-* **execution** -- each attempt runs in a killable subprocess
-  (:mod:`repro.serve.worker`), with per-job timeout, cooperative
-  cancellation, and bounded retry with exponential backoff for worker
-  *crashes* (deterministic worker errors are not retried);
+* **execution** -- each attempt runs on one of the service's own
+  attempt threads, in a warm, killable worker process
+  (:class:`repro.serve.worker.WorkerPool`), with per-job timeout,
+  cooperative cancellation, and bounded retry with exponential backoff
+  for worker *crashes* (deterministic worker errors are not retried);
 * **shutdown** (:meth:`shutdown`) -- stops admission, lets in-flight
-  jobs drain, and persists still-queued jobs to ``state_dir`` so a
-  restarted service resubmits them.
+  jobs drain, persists still-queued jobs to ``state_dir`` so a
+  restarted service resubmits them, and closes the worker pool.
 
 Everything the service observes is mirrored three ways: an
 authoritative plain-``dict`` counter set served by :meth:`stats`
@@ -40,11 +41,13 @@ the job.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import json
 import os
 import tempfile
 import time
 from collections import Counter, deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -64,7 +67,7 @@ from repro.serve.errors import (
 from repro.serve.jobs import Job, JobQueue, JobState, QueueFull
 from repro.serve.protocol import PlanRequest
 from repro.serve.telemetry import ServiceTelemetry, health_view
-from repro.serve.worker import run_job_in_process, run_job_inline
+from repro.serve.worker import WorkerPool, run_job_inline
 
 #: Persistence schema of the queue state file.
 STATE_SCHEMA_VERSION = 1
@@ -94,9 +97,9 @@ class ServiceSettings:
     retry_cap_s: float = 5.0
     #: Deadline for jobs that do not carry their own ``timeout_s``.
     default_timeout_s: float | None = None
-    #: ``"process"`` (killable subprocess per attempt) or ``"thread"``
-    #: (in-process; no preemptive timeout/kill -- degraded platforms
-    #: and fast tests only).
+    #: ``"process"`` (warm, killable worker processes, one job at a
+    #: time each) or ``"thread"`` (in-process; no preemptive
+    #: timeout/kill -- degraded platforms and fast tests only).
     isolation: str = "process"
     #: Directory for queue persistence across restarts (``None``: off).
     state_dir: str | None = None
@@ -144,12 +147,19 @@ class PlanningService:
         self.telemetry = ServiceTelemetry(enabled=self.settings.telemetry)
         self.started_at = time.time()
         self._job_seconds_total = 0.0
+        #: Warm worker processes; ``None`` unless process isolation
+        #: runs the service's own runner.
+        self._pool: WorkerPool | None = None
         if runner is not None:
             self._runner = runner
         elif self.settings.isolation == "process":
-            self._runner = run_job_in_process
+            self._pool = WorkerPool(self.workers)
+            self._runner = self._pool.run
         else:
             self._runner = run_job_inline
+        #: One thread per worker slot runs the blocking attempts; made
+        #: by :meth:`start`, shut down by :meth:`shutdown`.
+        self._executor: ThreadPoolExecutor | None = None
         self._slots = asyncio.Semaphore(self.workers)
         self._dispatcher: asyncio.Task[None] | None = None
         self._worker_tasks: set[asyncio.Task[None]] = set()
@@ -164,6 +174,9 @@ class PlanningService:
 
         Returns the number of restored jobs.
         """
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="repro-serve-attempt"
+        )
         restored = self._restore_queue()
         self._accepting = True
         self._dispatcher = asyncio.create_task(
@@ -186,7 +199,9 @@ class PlanningService:
         ``drain=True`` (the graceful path, also the SIGTERM path) lets
         running jobs finish; ``drain=False`` cancels them.  Jobs still
         *queued* are persisted to ``state_dir`` either way and restored
-        by the next :meth:`start`.  Returns the persisted-job count.
+        by the next :meth:`start`.  Either way the attempt threads stop
+        and every worker process is terminated and joined.  Returns the
+        persisted-job count.
         """
         self._accepting = False
         self.queue.close()
@@ -201,6 +216,11 @@ class PlanningService:
             self._dispatcher = None
         if self._worker_tasks:
             await asyncio.gather(*self._worker_tasks, return_exceptions=True)
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+        if self._pool is not None:
+            self._pool.close()
         persisted = self._persist_queue()
         _LOG.info(
             "service-shutdown",
@@ -428,8 +448,17 @@ class PlanningService:
                     await asyncio.sleep(delay)
                 job.attempts = attempt + 1
                 try:
-                    text = await asyncio.to_thread(
-                        self._execute_attempt, job, attempt, timeout_s
+                    # The service's own threads, one per slot: the
+                    # loop's default executor has fewer threads than
+                    # slots on small hosts.  The copied context carries
+                    # the bound request id, as asyncio.to_thread does.
+                    text = await asyncio.get_running_loop().run_in_executor(
+                        self._executor,
+                        contextvars.copy_context().run,
+                        self._execute_attempt,
+                        job,
+                        attempt,
+                        timeout_s,
                     )
                 except WorkerCrashed as error:
                     if attempt + 1 >= attempts:
@@ -503,7 +532,7 @@ class PlanningService:
     def _execute_attempt(
         self, job: Job, attempt: int, timeout_s: float | None
     ) -> str:
-        """One blocking attempt; runs on a worker thread.
+        """One blocking attempt; runs on an attempt thread.
 
         Under an enabled observability context the worker payload asks
         the subprocess to collect telemetry; the spans it ships back
