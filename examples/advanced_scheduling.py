@@ -60,7 +60,7 @@ def main() -> None:
     analyses = {name: analysis_for(core) for name, core in cores.items()}
 
     def time_of(name: str, width: int) -> int:
-        return analyses[name].time_at_tam(width, compression=True)
+        return analyses[name].time_at_tam(width, compression="per-core")
 
     # ------------------------------------------------------------------
     print("1. preemption under a power budget (W = 12, two TAMs of 6)")

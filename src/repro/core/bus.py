@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from repro.core.timeline import ConstrainedSchedule, schedule_constrained
 from repro.compression.estimator import DEFAULT_SAMPLES
 from repro.explore.dse import DEFAULT_GRID, Mode, analysis_for
+from repro.pipeline.tables import LookupTables
 from repro.soc.soc import Soc
 
 
@@ -77,10 +78,9 @@ def optimize_bus(
 ) -> BusPlan:
     """Plan a shared-bus test transport for ``soc``.
 
-    ``compression`` is one of :data:`BUS_MODES`, with the meaning the
-    same :class:`~repro.pipeline.config.RunConfig` modes have for TAM
-    plans: no decompressors, one per core, or per core with a bypass
-    where plain scan is faster.
+    ``compression`` is one of :data:`BUS_MODES`; at every rate a core
+    uses the compression policy's pick for that mode, as on a TAM of
+    that width (:func:`repro.explore.selection.choose`).
     """
     if compression not in BUS_MODES:
         raise ValueError(
@@ -90,34 +90,27 @@ def optimize_bus(
     if bus_width < 1:
         raise ValueError(f"bus width must be >= 1, got {bus_width}")
     started = _time.perf_counter()
-    use_compression = compression != "none"
-    auto = compression == "auto"
-    analyses = {
-        core.name: analysis_for(core, mode=mode, samples=samples, grid=grid)
-        for core in soc.cores
-    }
     names = list(soc.core_names)
     if not names:
         raise ValueError("cannot plan an empty SOC")
+    tables = LookupTables(
+        {
+            core.name: analysis_for(core, mode=mode, samples=samples, grid=grid)
+            for core in soc.cores
+        },
+        compression,
+        bus_width,
+    )
 
     def pick(name: str, rate: int) -> tuple[int, int]:
         """(test time, bus bits/cycle actually consumed) at a rate grant.
 
-        A decompressor whose best code is narrower than the grant only
-        taps its code width off the bus; an uncompressed core taps the
-        full grant (every wire drives a wrapper chain).
+        A decompressor whose code is narrower than the grant only taps
+        its code width off the bus; an uncompressed core taps the full
+        grant (every wire drives a wrapper chain).
         """
-        analysis = analyses[name]
-        plain = analysis.uncompressed_point(rate).test_time
-        if not use_compression:
-            return plain, rate
-        best = analysis.best_compressed_for_tam(rate)
-        if best is None or (auto and plain < best.test_time):
-            return plain, rate
-        return best.test_time, best.code_width
-
-    def tau(name: str, rate: int) -> int:
-        return pick(name, rate)[0]
+        config = tables.config_of(name, rate)
+        return config.test_time, config.code_width or rate
 
     def schedule_for(rates: dict[str, int]) -> ConstrainedSchedule:
         # One private lane per core: the bus has no wire exclusivity,
@@ -125,7 +118,7 @@ def optimize_bus(
         return schedule_constrained(
             names,
             [1] * len(names),
-            lambda n, _w: pick(n, rates[n])[0],
+            lambda n, _w: tables.time_of(n, rates[n]),
             power_of={n: float(pick(n, rates[n])[1]) for n in names},
             power_budget=float(bus_width),
         )
@@ -179,7 +172,7 @@ def optimize_bus(
         pick(n, rates[n])[0] * pick(n, rates[n])[1] for n in names
     )
     bound = max(
-        max(tau(n, bus_width) for n in names),
+        max(tables.time_of(n, bus_width) for n in names),
         -(-transported // bus_width),
     )
     elapsed = _time.perf_counter() - started

@@ -36,7 +36,7 @@ import contextlib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterable, Literal
+from typing import Any, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -192,14 +192,16 @@ class CoreAnalysis:
             self._uncompressed[tam_width] = point
         return point
 
-    def uncompressed_points(self, widths: Iterable[int]) -> list[UncompressedPoint]:
+    def uncompressed_points(self, widths: Sequence[int]) -> list[UncompressedPoint]:
         """:meth:`uncompressed_point` of every width, in order.
 
         Memoized points are read directly, so after :meth:`precompute`
         this is one call rather than one per width.
         """
-        points = self._uncompressed
-        return [points.get(w) or self.uncompressed_point(w) for w in widths]
+        row = list(map(self._uncompressed.get, widths))
+        if all(row):  # every width memoized (points are truthy)
+            return row
+        return [point or self.uncompressed_point(w) for w, point in zip(widths, row)]
 
     # ------------------------------------------------------------------
     # Compressed side (paper step 2)
@@ -383,28 +385,22 @@ class CoreAnalysis:
     # Scheduling-facing summary
     # ------------------------------------------------------------------
 
-    def time_at_tam(self, tam_width: int, *, compression: bool) -> int:
-        """Core test time on a ``tam_width``-wide TAM.
+    def time_at_tam(self, tam_width: int, *, compression: str) -> int:
+        """Test time on a ``tam_width``-wide TAM under a compression mode.
 
-        With ``compression=True`` and no feasible code (TAM narrower than
-        3 wires, say), falls back to the uncompressed time -- the wrapper
-        is simply connected straight to the TAM.
+        The time of the configuration the compression policy picks
+        (:func:`repro.explore.selection.choose`) for ``compression``, one
+        of ``none``, ``per-core``, ``auto`` and ``select``.
         """
-        if not compression:
-            return self.uncompressed_point(tam_width).test_time
-        best = self.best_compressed_for_tam(tam_width)
-        if best is None:
-            return self.uncompressed_point(tam_width).test_time
-        return best.test_time
+        from repro.explore.selection import choose  # it imports this module
 
-    def volume_at_tam(self, tam_width: int, *, compression: bool) -> int:
+        return choose(self, tam_width, compression).test_time
+
+    def volume_at_tam(self, tam_width: int, *, compression: str) -> int:
         """Stimulus volume matching :meth:`time_at_tam`'s choice."""
-        if not compression:
-            return self.uncompressed_point(tam_width).volume
-        best = self.best_compressed_for_tam(tam_width)
-        if best is None:
-            return self.uncompressed_point(tam_width).volume
-        return best.volume
+        from repro.explore.selection import choose
+
+        return choose(self, tam_width, compression).volume
 
     def relative_spread(self, w: int) -> float:
         """``(tau_max - tau_min) / tau_max`` over code width ``w``'s sweep.
@@ -440,19 +436,16 @@ class CoreAnalysis:
         """Whether every lookup up to ``max_tam_width`` is already cached."""
         return self._precomputed_width >= max_tam_width
 
-    def precompute(self, max_tam_width: int, *, compressed: bool = True) -> None:
+    def precompute(self, max_tam_width: int, *, compression: str = "auto") -> None:
         """Eagerly evaluate every lookup the optimizer can ask for.
 
         Covers the uncompressed point of every TAM width up to the
         budget and the best-``m`` sweep of every feasible code width --
-        exactly the queries :meth:`time_at_tam` and the scheduler issue.
-        Idempotent, and a no-op for widths already covered.  With
-        ``compressed=False`` only the uncompressed points are evaluated
-        (the width is then not marked covered); the lookup tables use
-        this and batch the code widths through
-        :meth:`best_compressed_row` themselves.  Either way only the
-        uncompressed points not yet evaluated are designed, so a warm
-        analysis pays no wrapper design here.
+        every query the compression policy issues at those widths.
+        Under ``compression="none"`` only the uncompressed points, all
+        that mode reads, are evaluated and the width is not marked
+        covered.  Idempotent; only missing points are designed, in one
+        batched BFD pass, so a warm analysis pays no wrapper design here.
         """
         if max_tam_width < 1:
             raise ValueError(f"TAM width must be >= 1, got {max_tam_width}")
@@ -467,7 +460,7 @@ class CoreAnalysis:
             design_wrappers_batch(self.core, missing)
             for w in missing:
                 self.uncompressed_point(w)
-        if not compressed:
+        if compression == "none":
             return
         # The same one-batch prefix extension the lookup-table rows use.
         self.best_compressed_for_tam(max_tam_width)

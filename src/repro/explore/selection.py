@@ -1,32 +1,37 @@
-"""Per-core compression-technique selection (extension).
+"""The compression policy: the configuration a core uses at a TAM width.
 
-The authors' follow-up paper ("Core-Level Compression Technique
-Selection and SOC Test Architecture Design", ATS 2008 -- the first
-entry in this paper's related-work trail) observes that no single
-compression scheme wins for every core: the best choice depends on the
-core's care-bit statistics and the TAM width it is granted.  This
-module implements that selection step over the three techniques this
-repository provides:
+Every planner asks the same question of a core's analysis: which
+configuration does the core use on a ``w``-wide TAM under a
+:class:`~repro.pipeline.config.RunConfig` compression mode?
+:func:`choose` answers it, :func:`choose_row` answers it at every width
+of a budget, and :func:`core_config` turns the answer into a
+:class:`~repro.core.architecture.CoreConfig`.  The mode fixes the
+candidates, in this order:
 
-* ``none`` -- wrapper straight on the TAM;
-* ``selective`` -- the paper's selective-encoding decompressor;
-* ``dictionary`` -- fixed-length-index dictionary decompression
-  (exact-analysis cores only: building a dictionary needs the actual
-  cubes, so estimator-mode industrial cores fall back to the first two).
+* ``none`` -- plain scan, the wrapper straight on the TAM;
+* ``per-core`` -- the paper's selective-encoding decompressor, the
+  fastest whose code fits the width
+  (:meth:`~repro.explore.dse.CoreAnalysis.best_compressed_for_tam`),
+  or plain scan below three wires, where no code fits;
+* ``auto`` -- plain scan, then that decompressor (a bypass);
+* ``select`` -- plain scan, that decompressor, then a
+  fixed-length-index dictionary decompressor (exact-analysis cores
+  only: building a dictionary needs the actual cubes).
 
-The selected configuration plugs into the SOC optimizer via
-``plan(soc, W, RunConfig(compression="select"))``.
+One rule picks among them: least test time, then least volume, then
+the earlier candidate.  So plain scan wins a full tie, and ``auto``
+equals ``select`` wherever ``select`` picks no dictionary.
 
-Dictionary statistics (hit rates, compressed bits) depend only on the
-slice width ``m`` and the index width -- not on the TAM width, which
-only scales the delivery cycles -- so :class:`TechniqueSelector` builds
-each dictionary once per core and answers every TAM-width query from
-that cache.
+``select`` is the authors' ATS 2008 follow-up (no compression scheme
+wins for every core and width).  A dictionary depends only on ``m``
+and the index width, so :class:`TechniqueSelector` builds each one once
+per core and answers every TAM width from that cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TypeAlias
 
 from repro.compression.dictionary import (
     DictionaryStats,
@@ -34,8 +39,113 @@ from repro.compression.dictionary import (
     compression_stats,
     delivery_cycles,
 )
-from repro.explore.dse import CoreAnalysis
+from repro.core.architecture import CoreConfig
+from repro.explore.dse import CompressedPoint, CoreAnalysis, UncompressedPoint
+from repro.soc.core import Core
 from repro.wrapper.design import design_wrapper
+
+#: The compression modes that choose per core (``per-tam`` shares one
+#: decompressor per TAM instead).
+POLICY_MODES: tuple[str, ...] = ("none", "per-core", "auto", "select")
+
+#: What the policy picks at one width: a plain-scan point, a
+#: decompressor point, or a dictionary choice.
+Pick: TypeAlias = "UncompressedPoint | CompressedPoint | TechniqueChoice"
+
+
+def choose_row(
+    analysis: CoreAnalysis,
+    max_tam_width: int,
+    compression: str,
+    *,
+    selector: TechniqueSelector | None = None,
+) -> list[Pick]:
+    """The policy's pick at every width ``1..max_tam_width`` (entry ``w - 1``).
+
+    Each kind of candidate costs one batched pass: a BFD pass for plain
+    scan, a kernel pass for the decompressors.  Under ``select`` the
+    ``selector`` keeps the core's dictionaries (a fresh one by default).
+    """
+    if compression not in POLICY_MODES:
+        raise ValueError(
+            f"unknown compression mode {compression!r} for a per-core "
+            f"choice; expected one of {', '.join(POLICY_MODES)}"
+        )
+    if max_tam_width < 1:
+        raise ValueError(f"TAM width must be >= 1, got {max_tam_width}")
+    widths = range(1, max_tam_width + 1)
+    if compression == "per-core":
+        bests = analysis.best_compressed_row(max_tam_width)
+        # A code that fits w wires fits any wider TAM, so the widths
+        # without one are a prefix of the row.  (Points are truthy;
+        # filtering them skips the dataclass ``__eq__`` of a count.)
+        narrow = len(bests) - len(list(filter(None, bests)))
+        return analysis.uncompressed_points(widths[:narrow]) + bests[narrow:]
+    analysis.precompute(max_tam_width, compression="none")
+    picks: list[Pick] = analysis.uncompressed_points(widths)
+    if compression == "none":
+        return picks
+    challengers: list[list] = [analysis.best_compressed_row(max_tam_width)]
+    if compression == "select":
+        selector = selector or TechniqueSelector(analysis)
+        challengers.append([selector.dictionary_choice(w) for w in widths])
+    for row in challengers:
+        # The one rule: a challenger replaces the pick so far only with
+        # less test time, or as much test time and less volume.
+        picks = [
+            new
+            if new is not None
+            and (
+                new.test_time < old.test_time
+                or new.test_time == old.test_time
+                and new.volume < old.volume
+            )
+            else old
+            for old, new in zip(picks, row)
+        ]
+    return picks
+
+
+def choose(
+    analysis: CoreAnalysis,
+    tam_width: int,
+    compression: str,
+    *,
+    selector: TechniqueSelector | None = None,
+) -> Pick:
+    """The configuration the core uses on a ``tam_width``-wide TAM."""
+    return choose_row(analysis, tam_width, compression, selector=selector)[-1]
+
+
+def core_config(core: Core, pick: Pick) -> CoreConfig:
+    """The :class:`~repro.core.architecture.CoreConfig` of ``core`` under ``pick``.
+
+    Plain scan drives one wrapper chain per TAM wire, up to the chains
+    the core can use.
+    """
+    if isinstance(pick, UncompressedPoint):
+        technique = "none"
+        chains = min(pick.tam_width, core.max_useful_wrapper_chains)
+        code_width = None
+    elif isinstance(pick, CompressedPoint):
+        technique, chains, code_width = "selective", pick.m, pick.code_width
+    else:
+        technique = pick.technique
+        chains, code_width = pick.wrapper_chains, pick.code_width
+    return CoreConfig(
+        core_name=core.name,
+        uses_compression=technique != "none",
+        wrapper_chains=chains,
+        code_width=code_width,
+        test_time=pick.test_time,
+        volume=pick.volume,
+        technique=technique,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Technique selection: the dictionary candidate of ``select``.
+# ---------------------------------------------------------------------------
 
 #: Dictionary index widths tried per core.
 DEFAULT_INDEX_BITS = (4, 8)
@@ -130,42 +240,22 @@ class TechniqueSelector:
     # ------------------------------------------------------------------
 
     def select(self, tam_width: int) -> TechniqueChoice:
-        """Pick the fastest of {none, selective, dictionary}."""
-        cached = self._choices.get(tam_width)
-        if cached is not None:
-            return cached
-        core = self.analysis.core
-        plain = self.analysis.uncompressed_point(tam_width)
-        candidates = [
-            TechniqueChoice(
-                core_name=core.name,
-                tam_width=tam_width,
-                technique="none",
-                test_time=plain.test_time,
-                volume=plain.volume,
-                wrapper_chains=min(tam_width, core.max_useful_wrapper_chains),
-                code_width=None,
-            )
-        ]
-        selective = self.analysis.best_compressed_for_tam(tam_width)
-        if selective is not None:
-            candidates.append(
-                TechniqueChoice(
-                    core_name=core.name,
-                    tam_width=tam_width,
-                    technique="selective",
-                    test_time=selective.test_time,
-                    volume=selective.volume,
-                    wrapper_chains=selective.m,
-                    code_width=selective.code_width,
+        """The ``select`` policy's pick at ``tam_width``, as a choice."""
+        if tam_width not in self._choices:
+            pick = choose(self.analysis, tam_width, "select", selector=self)
+            if not isinstance(pick, TechniqueChoice):
+                config = core_config(self.analysis.core, pick)
+                pick = TechniqueChoice(
+                    config.core_name,
+                    tam_width,
+                    config.technique,
+                    config.test_time,
+                    config.volume,
+                    config.wrapper_chains,
+                    config.code_width,
                 )
-            )
-        dictionary = self.dictionary_choice(tam_width)
-        if dictionary is not None:
-            candidates.append(dictionary)
-        choice = min(candidates, key=lambda c: (c.test_time, c.volume))
-        self._choices[tam_width] = choice
-        return choice
+            self._choices[tam_width] = pick
+        return self._choices[tam_width]
 
 
 def select_technique(

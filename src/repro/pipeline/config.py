@@ -25,9 +25,9 @@ if TYPE_CHECKING:
     from repro.soc.core import Core
 
 #: Accepted compression placements/modes: no TDC, the paper's per-core
-#: decompressors, per-core with a bypass where plain scan is faster,
-#: per-core technique selection, and the Figure 4(b) flow of one
-#: decompressor per TAM.
+#: decompressors, per-core with a plain-scan bypass, per-core technique
+#: selection (both by :mod:`repro.explore.selection`'s one rule), and
+#: the Figure 4(b) flow of one decompressor per TAM.
 Compression = Literal["none", "per-core", "auto", "select", "per-tam"]
 
 COMPRESSION_MODES: tuple[str, ...] = (
@@ -48,7 +48,9 @@ class RunConfig:
 
     Groups (see docs/api.md, "Pipeline architecture"):
 
-    * **what to plan** -- ``compression`` (mode/placement), the
+    * **what to plan** -- ``compression`` (mode/placement: ``auto``
+      is a per-core decompressor with a plain-scan bypass, taken where
+      plain scan is faster, or as fast with no more volume), the
       partition-search controls ``max_tams`` / ``min_tam_width`` /
       ``strategy``, the per-TAM flow's ``min_code_width``, and the
       explicit stage selection ``architecture`` / ``schedule``

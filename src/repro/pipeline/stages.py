@@ -38,7 +38,6 @@ from typing import Any, Callable, Sequence
 
 from repro import obs
 from repro.core.architecture import (
-    CoreConfig,
     DecompressorPlacement,
     ScheduledCore,
     Tam,
@@ -58,6 +57,7 @@ from repro.core.timeline import (
     schedule_constrained,
 )
 from repro.explore.dse import CompressedPoint, CoreAnalysis
+from repro.explore.selection import core_config
 from repro.search import run_search
 from repro.search.evaluator import ScheduleFn
 from repro.pipeline.config import RunConfig
@@ -586,14 +586,7 @@ class PerTamScheduleStage(Stage):
             name = names[index]
             tam = assignment[index]
             point = costs.point(name, shared_ms[tam])
-            config = CoreConfig(
-                core_name=name,
-                uses_compression=True,
-                wrapper_chains=point.m,
-                code_width=point.code_width,
-                test_time=point.test_time,
-                volume=point.volume,
-            )
+            config = core_config(ctx.analyses[name].core, point)
             start = loads[tam]
             end = start + config.test_time
             loads[tam] = end

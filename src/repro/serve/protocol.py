@@ -176,14 +176,15 @@ def ok_response(**fields: Any) -> dict[str, Any]:
     return response
 
 
-def error_response(code: str, message: str, **fields: Any) -> dict[str, Any]:
+def error_response(code: str, message: str, /, **fields: Any) -> dict[str, Any]:
+    """An error reply; ``fields``, such as a job brief, never replace its keys."""
     response: dict[str, Any] = {
         "ok": False,
         "v": PROTOCOL_VERSION,
         "error": code,
         "message": message,
     }
-    response.update(fields)
+    response.update((k, v) for k, v in fields.items() if k not in response)
     return response
 
 

@@ -62,6 +62,10 @@ DEFAULT_PORT = 7465
 #: Ceiling for one request line; a frame beyond it is a client bug.
 MAX_LINE_BYTES = 1 << 20
 
+#: How long :meth:`ServiceServer.stop` lets the handlers of the idle
+#: connections it closed finish before the loop stops.
+HANDLER_CLOSE_S = 1.0
+
 
 class ServiceServer:
     """Socket front end binding one :class:`PlanningService`."""
@@ -77,6 +81,10 @@ class ServiceServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
+        #: Open connections (handler task -> stream writer), and the
+        #: handlers among them that wait for their next request.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._idle: set[asyncio.Task] = set()
         #: Set by the ``shutdown`` op or a signal; awaited by ``serve_until_stopped``.
         self.stop_requested: asyncio.Event = asyncio.Event()
         self._drain_on_stop = True
@@ -96,12 +104,23 @@ class ServiceServer:
             self.port = sockets[0].getsockname()[1]
 
     async def stop(self) -> int:
-        """Close the listener, then shut the service down."""
+        """Close the listener, drain the service, then close the connections.
+
+        Idle handlers end on the EOF before the loop stops (one the loop
+        cancels logs a traceback; on Python 3.12+ ``wait_closed`` waits
+        for every connection).
+        """
         if self._server is not None:
             self._server.close()
+        persisted = await self.service.shutdown(drain=self._drain_on_stop)
+        for writer in self._connections.values():
+            writer.close()
+        if self._idle:
+            await asyncio.wait(list(self._idle), timeout=HANDLER_CLOSE_S)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        return await self.service.shutdown(drain=self._drain_on_stop)
+        return persisted
 
     def request_stop(self, *, drain: bool = True) -> None:
         self._drain_on_stop = drain and self._drain_on_stop
@@ -130,8 +149,12 @@ class ServiceServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None  # a stream handler always runs as a task
+        self._connections[task] = writer
         try:
             while True:
+                self._idle.add(task)
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
@@ -142,6 +165,8 @@ class ServiceServer:
                     )
                     await writer.drain()
                     break
+                finally:
+                    self._idle.discard(task)
                 if not line:
                     break
                 response = await self._respond(line)
@@ -150,6 +175,7 @@ class ServiceServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()

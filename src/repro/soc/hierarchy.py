@@ -27,6 +27,7 @@ from repro.core.architecture import (
 )
 from repro.core.scheduler import build_architecture
 from repro.explore.dse import analysis_for
+from repro.pipeline.tables import LookupTables
 from repro.search import run_search
 from repro.soc.core import Core
 from repro.soc.soc import Soc
@@ -116,8 +117,9 @@ def optimize_hierarchical(
 
     Children are treated as monolithic tests whose duration depends on
     the width of the TAM they are granted (their internal plan);
-    ordinary cores go through the usual per-core lookup under
-    ``compression`` (one of :data:`LEAF_MODES`).  The parent search is
+    ordinary cores take the compression policy's pick under
+    ``compression`` (one of :data:`LEAF_MODES`), read from the lookup
+    tables a flat plan builds.  The parent search is
     :func:`~repro.search.run_search` with the exhaustive backend: it
     list-schedules the members on every TAM partition.
     """
@@ -139,62 +141,31 @@ def optimize_hierarchical(
         seen.add(label)
         names.append(label)
 
-    by_name = {member.name: member for member in members}
-    analyses = {
-        member.name: analysis_for(member)
-        for member in members
-        if isinstance(member, Core)
-    }
+    children = {m.name: m for m in members if isinstance(m, ChildSocCore)}
+    # Ordinary cores read the compression policy's rows, as in a flat plan.
+    leaves = {m.name: analysis_for(m) for m in members if isinstance(m, Core)}
+    tables = LookupTables(leaves, compression, tam_width)
 
     def time_of(label: str, width: int) -> int:
-        member = by_name[label]
-        if isinstance(member, ChildSocCore):
-            return member.test_time(width)
-        analysis = analyses[label]
-        if compression == "none":
-            return analysis.uncompressed_point(width).test_time
-        best = analysis.best_compressed_for_tam(width)
-        plain = analysis.uncompressed_point(width).test_time
-        if best is None:
-            return plain
-        if compression == "auto":
-            return min(best.test_time, plain)
-        return best.test_time
-
-    def volume_of(label: str, width: int) -> int:
-        member = by_name[label]
-        if isinstance(member, ChildSocCore):
-            return member.volume(width)
-        analysis = analyses[label]
-        if compression == "none":
-            return analysis.uncompressed_point(width).volume
-        best = analysis.best_compressed_for_tam(width)
-        if best is None or (
-            compression == "auto"
-            and analysis.uncompressed_point(width).test_time < best.test_time
-        ):
-            return analysis.uncompressed_point(width).volume
-        return best.volume
+        child = children.get(label)
+        if child is None:
+            return tables.time_of(label, width)
+        return child.test_time(width)
 
     def config_of(label: str, width: int) -> CoreConfig:
-        member = by_name[label]
+        child = children.get(label)
+        if child is None:
+            return tables.config_of(label, width)
         # A child's internal plan (and any compression in it) is
         # encapsulated; the parent sees a monolithic test.
-        compressed, code_width, chains = False, None, width
-        if isinstance(member, Core):
-            chains = min(width, member.max_useful_wrapper_chains)
-            if compression != "none" and _core_compressed(
-                member, width, analyses, compression
-            ):
-                best = analyses[label].best_compressed_for_tam(width)
-                compressed, code_width, chains = True, best.code_width, best.m
+        test_time, volume = child.plan_at(width)
         return CoreConfig(
             core_name=label,
-            uses_compression=compressed,
-            wrapper_chains=chains,
-            code_width=code_width,
-            test_time=time_of(label, width),
-            volume=volume_of(label, width),
+            uses_compression=False,
+            wrapper_chains=width,
+            code_width=None,
+            test_time=test_time,
+            volume=volume,
         )
 
     search = run_search(
@@ -216,17 +187,4 @@ def optimize_hierarchical(
         ate_channels=tam_width,
         time_of=time_of,
     )
-    children = tuple(
-        member.name for member in members if isinstance(member, ChildSocCore)
-    )
-    return HierarchicalPlan(architecture=architecture, child_names=children)
-
-
-def _core_compressed(member: Core, width: int, analyses, comp) -> bool:
-    analysis = analyses[member.name]
-    best = analysis.best_compressed_for_tam(width)
-    if best is None:
-        return False
-    if comp == "auto":
-        return best.test_time < analysis.uncompressed_point(width).test_time
-    return True
+    return HierarchicalPlan(architecture=architecture, child_names=tuple(children))

@@ -9,7 +9,7 @@ test time.  This module provides that knob and quantifies its value:
 * :func:`restitch` rebuilds a core with a chosen chain count (balanced
   stitching, which is optimal for the scan-in depth);
 * :func:`best_stitching` sweeps chain counts and returns the fastest
-  configuration at a TAM width, with/without compression.
+  configuration at a TAM width under a compression mode.
 """
 
 from __future__ import annotations
@@ -59,14 +59,15 @@ def best_stitching(
     core: Core,
     tam_width: int,
     *,
-    compression: bool = True,
+    compression: str = "per-core",
     max_chains: int | None = None,
 ) -> StitchingChoice:
     """Sweep chain counts and pick the fastest at ``tam_width``.
 
-    Candidates are a geometric ladder up to ``max_chains`` (default:
-    the scan-cell count capped at 1024).  Returns the original time,
-    the best re-stitched time, and the winning core variant.
+    Each variant is timed under the ``compression`` mode.  Candidates
+    are a geometric ladder up to ``max_chains`` (default: the scan-cell
+    count capped at 1024).  Returns the original time, the best
+    re-stitched time, and the winning core variant.
     """
     # Imported here: repro.explore depends on repro.wrapper, so a
     # module-level import would be circular.

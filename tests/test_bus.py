@@ -99,20 +99,22 @@ def verify_bus(soc, plan, schedule=None):
     """``verify_constrained`` on a bus plan, the bandwidth as the budget.
 
     Each core's test time and bus tap are re-derived from its analysis
-    at the rate the plan grants it, not read off the schedule.
+    at the rate the plan grants it, not read off the schedule.  Under
+    ``auto`` plain scan is kept when it is as fast and no larger.
     """
     times, taps = {}, {}
     for core in soc.cores:
         analysis = analysis_for(core)
         rate = plan.rates[core.name]
-        plain = analysis.uncompressed_point(rate).test_time
+        plain = analysis.uncompressed_point(rate)
         best = None
         if plan.compression != "none":
             best = analysis.best_compressed_for_tam(rate)
         if best is None or (
-            plan.compression == "auto" and plain < best.test_time
+            plan.compression == "auto"
+            and (plain.test_time, plain.volume) <= (best.test_time, best.volume)
         ):
-            times[core.name], taps[core.name] = plain, rate
+            times[core.name], taps[core.name] = plain.test_time, rate
         else:
             times[core.name], taps[core.name] = best.test_time, best.code_width
     return verify_constrained(

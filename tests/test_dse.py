@@ -69,7 +69,7 @@ class TestUncompressedPoints:
 
     def test_uncompressed_only_precompute(self, small_core):
         analysis = CoreAnalysis(small_core)
-        analysis.precompute(12, compressed=False)
+        analysis.precompute(12, compression="none")
         assert analysis.uncompressed_points(range(1, 13)) == [
             CoreAnalysis(small_core).uncompressed_point(w) for w in range(1, 13)
         ]
@@ -261,23 +261,23 @@ class TestBestLookups:
     def test_time_at_tam_fallback_to_uncompressed(self, small_core):
         analysis = CoreAnalysis(small_core)
         assert (
-            analysis.time_at_tam(2, compression=True)
+            analysis.time_at_tam(2, compression="per-core")
             == analysis.uncompressed_point(2).test_time
         )
 
     def test_time_at_tam_compressed_uses_best(self, sparse_core):
         analysis = CoreAnalysis(sparse_core)
         assert (
-            analysis.time_at_tam(8, compression=True)
+            analysis.time_at_tam(8, compression="per-core")
             == analysis.best_compressed_for_tam(8).test_time
         )
 
     def test_volume_at_tam(self, sparse_core):
         analysis = CoreAnalysis(sparse_core)
         best = analysis.best_compressed_for_tam(8)
-        assert analysis.volume_at_tam(8, compression=True) == best.volume
+        assert analysis.volume_at_tam(8, compression="per-core") == best.volume
         plain = analysis.uncompressed_point(8)
-        assert analysis.volume_at_tam(8, compression=False) == plain.volume
+        assert analysis.volume_at_tam(8, compression="none") == plain.volume
 
     def test_relative_spread_in_unit_interval(self, sparse_core):
         analysis = CoreAnalysis(sparse_core)
@@ -301,7 +301,7 @@ class TestCompressionPaysOnSparseCores:
     def test_dense_core_may_not_compress(self, comb_core):
         # 70% care density: compression should not be forced to win.
         analysis = CoreAnalysis(comb_core)
-        assert analysis.time_at_tam(4, compression=False) > 0
+        assert analysis.time_at_tam(4, compression="none") > 0
 
 
 class TestAnalysisCache:

@@ -231,27 +231,28 @@ def _reference_best_for_tam(analysis, width):
 
 
 def _reference_pick(analysis, selector, compression, width):
-    """The per-lookup policy rule the dense rows must reproduce."""
+    """The per-lookup policy rule the dense rows must reproduce.
+
+    The mode's candidates in order -- plain scan, the best decompressor,
+    the best dictionary -- and the first of least (test time, volume).
+    """
     from repro.core.architecture import CoreConfig
 
     name = analysis.core.name
-    if compression == "select":
-        choice = selector.select(width)
-        return CoreConfig(
-            core_name=name,
-            uses_compression=choice.technique != "none",
-            wrapper_chains=choice.wrapper_chains,
-            code_width=choice.code_width,
-            test_time=choice.test_time,
-            volume=choice.volume,
-            technique=choice.technique,
-        )
     plain = analysis.uncompressed_point(width)
+    candidates = [
+        CoreConfig(
+            core_name=name,
+            uses_compression=False,
+            wrapper_chains=min(width, analysis.core.max_useful_wrapper_chains),
+            code_width=None,
+            test_time=plain.test_time,
+            volume=plain.volume,
+        )
+    ]
     best = None if compression == "none" else _reference_best_for_tam(analysis, width)
-    if best is not None and (
-        compression == "per-core" or best.test_time < plain.test_time
-    ):
-        return CoreConfig(
+    if best is not None:
+        compressed = CoreConfig(
             core_name=name,
             uses_compression=True,
             wrapper_chains=best.m,
@@ -259,14 +260,23 @@ def _reference_pick(analysis, selector, compression, width):
             test_time=best.test_time,
             volume=best.volume,
         )
-    return CoreConfig(
-        core_name=name,
-        uses_compression=False,
-        wrapper_chains=min(width, analysis.core.max_useful_wrapper_chains),
-        code_width=None,
-        test_time=plain.test_time,
-        volume=plain.volume,
-    )
+        if compression == "per-core":
+            return compressed
+        candidates.append(compressed)
+    dictionary = selector.dictionary_choice(width) if compression == "select" else None
+    if dictionary is not None:
+        candidates.append(
+            CoreConfig(
+                core_name=name,
+                uses_compression=True,
+                wrapper_chains=dictionary.wrapper_chains,
+                code_width=dictionary.code_width,
+                test_time=dictionary.test_time,
+                volume=dictionary.volume,
+                technique="dictionary",
+            )
+        )
+    return min(candidates, key=lambda c: (c.test_time, c.volume))
 
 
 def _tables(soc, compression, width):

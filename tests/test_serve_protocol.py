@@ -141,6 +141,14 @@ class TestFraming:
         assert err["error"] == "backpressure"
         assert err["retry_after"] == 2.5
 
+    def test_error_response_takes_a_brief_with_its_own_message(self):
+        # A failed job's brief carries "message" (and "error_code").
+        brief = {"job_id": "j1", "message": "boom", "error_code": "timeout"}
+        err = error_response("timeout", "still running", **brief)
+        assert err["error"] == "timeout"
+        assert err["message"] == "still running"
+        assert err["job_id"] == "j1" and err["error_code"] == "timeout"
+
 
 class TestWorkerPayload:
     def test_attempt_is_stamped(self):

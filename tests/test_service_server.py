@@ -23,7 +23,12 @@ from pathlib import Path
 import pytest
 
 from repro.pipeline import RunConfig
-from repro.serve import BackpressureError, ServiceClient, connect_with_retry
+from repro.serve import (
+    BackpressureError,
+    JobFailed,
+    ServiceClient,
+    connect_with_retry,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -80,6 +85,8 @@ def _server(*extra_args: str):
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def _wait_exit(proc: subprocess.Popen) -> tuple[int, str]:
@@ -204,7 +211,64 @@ class TestConcurrencyAndDedup:
                 client.shutdown(drain=False)
 
 
+class TestResultOfAFailedJob:
+    """``result`` raises with the job's own error code, not ``internal``."""
+
+    def test_cancelled_queued_job(self):
+        with _server("--isolation", "thread", "--jobs", "1") as (_, ready):
+            with connect_with_retry(ready["host"], ready["port"]) as client:
+                config = RunConfig(compression="none")
+                # The first job holds the one slot, so the second queues.
+                client.submit("d695", 8, config, fault={"sleep_s": 2.0})
+                queued = client.submit("d695", 10, config)
+                assert client.cancel(queued.job_id)["state"] == "cancelled"
+                with pytest.raises(JobFailed) as excinfo:
+                    client.result(queued.job_id, timeout_s=30)
+                assert excinfo.value.code == "cancelled"
+                client.shutdown(drain=False)
+
+    def test_timed_out_job(self):
+        with _server("--jobs", "1") as (_, ready):
+            with connect_with_retry(ready["host"], ready["port"]) as client:
+                ticket = client.submit(
+                    "d695",
+                    8,
+                    RunConfig(compression="none"),
+                    timeout_s=0.3,
+                    fault={"sleep_s": 5.0},
+                )
+                with pytest.raises(JobFailed) as excinfo:
+                    client.result(ticket.job_id, timeout_s=60)
+                assert excinfo.value.code == "timeout"
+                status = client.status(ticket.job_id)
+                assert (status["state"], status["error_code"]) == (
+                    "failed",
+                    "timeout",
+                )
+                client.shutdown(drain=False)
+
+
 class TestGracefulShutdown:
+    def test_sigterm_with_an_idle_client_prints_no_traceback(self):
+        proc, ready = _spawn_server("--isolation", "thread", "--jobs", "1")
+        try:
+            client = connect_with_retry(ready["host"], ready["port"])
+            try:
+                assert client.ping()
+                proc.send_signal(signal.SIGTERM)
+                returncode, stderr = _wait_exit(proc)
+            finally:
+                client.close()
+            assert returncode == 0
+            assert "Traceback" not in stderr
+            assert '"event": "stopped"' in stderr
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
+
     def test_sigterm_drains_inflight_job(self):
         proc, ready = _spawn_server("--jobs", "1")
         try:

@@ -54,7 +54,7 @@ class TestRestitch:
 
 class TestBestStitching:
     def test_restitching_helps_long_chains(self, long_chain_core):
-        choice = best_stitching(long_chain_core, 8, compression=True)
+        choice = best_stitching(long_chain_core, 8, compression="per-core")
         assert isinstance(choice, StitchingChoice)
         # Two 400-cell chains floor si at 400; re-stitching removes it.
         assert choice.best_time < choice.original_time
@@ -71,16 +71,16 @@ class TestBestStitching:
             care_bit_density=0.03,
             seed=5,
         )
-        choice = best_stitching(core, 8, compression=True)
+        choice = best_stitching(core, 8, compression="per-core")
         # Even a balanced stitching can gain (more, shorter chains means
         # fewer scan slices and fewer per-slice END codewords), but the
         # sweep must never return something slower than the original.
         assert choice.best_time <= choice.original_time
 
     def test_no_compression_mode(self, long_chain_core):
-        choice = best_stitching(long_chain_core, 8, compression=False)
+        choice = best_stitching(long_chain_core, 8, compression="none")
         analysis = analysis_for(choice.core)
-        assert choice.best_time == analysis.time_at_tam(8, compression=False)
+        assert choice.best_time == analysis.time_at_tam(8, compression="none")
 
     def test_max_chains_cap(self, long_chain_core):
         choice = best_stitching(long_chain_core, 8, max_chains=16)
