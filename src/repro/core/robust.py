@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.scheduler import ScheduleOutcome, TimeFn
+from repro.core.scheduler import ScheduleOutcome, TimeFn, TimeTable, as_table, tam_loads
 from repro.search import PartitionSearchResult, run_search
 
 
@@ -190,7 +190,7 @@ def robust_plan(
 def robust_search(
     core_names: Sequence[str],
     total_width: int,
-    time_of: TimeFn,
+    time_of: TimeTable | TimeFn,
     *,
     epsilon: float = 0.1,
     max_parts: int | None = None,
@@ -203,31 +203,28 @@ def robust_search(
     For box uncertainty with a common ``epsilon``, the worst case of any
     assignment is exactly its makespan under times scaled by
     ``1 + epsilon``, so optimizing the inflated instance minimizes the
-    true worst case over the partition/assignment space searched.
+    true worst case over the partition/assignment space searched.  The
+    search reads an inflated view of the cost table, a row at a time.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
+    table = as_table(core_names, time_of)
 
-    def inflated(name: str, width: int) -> int:
-        return max(1, int(round(time_of(name, width) * (1 + epsilon))))
+    def inflated(width: int) -> list[int]:
+        return [max(1, int(round(t * (1 + epsilon)))) for t in table.row(width)]
 
     search = run_search(
         core_names,
         total_width,
-        inflated,
+        TimeTable.from_rows(table.core_names, inflated),
         max_parts=max_parts,
         min_width=min_width,
         strategy=strategy,
         options=options,
     )
     outcome = search.outcome
-    nominal_times = {
-        name: time_of(name, outcome.widths[tam])
-        for name, tam in zip(core_names, outcome.assignment)
-    }
-    nominal = _makespan_with_times(core_names, outcome, nominal_times)
     return RobustPlan(
         search=search,
-        nominal_makespan=nominal,
+        nominal_makespan=max(tam_loads(table, outcome.widths, outcome.assignment)),
         worst_case_makespan=search.makespan,
     )

@@ -35,13 +35,16 @@ from repro.core.architecture import (
     TestArchitecture,
 )
 
-#: ``time_of(core_name, tam_width) -> test time`` lookup used while
-#: scheduling; the optimizer backs it with the DSE lookup tables.
+#: ``time_of(core_name, tam_width) -> test time``: a cost table as a
+#: callback, which the public schedulers wrap into a :class:`TimeTable`.
 TimeFn = Callable[[str, int], int]
 
 #: ``config_of(core_name, tam_width) -> CoreConfig`` resolves the full
 #: per-core configuration once the assignment is fixed.
 ConfigFn = Callable[[str, int], CoreConfig]
+
+#: ``row_of(tam_width) -> [value of every core]`` fills one table row.
+RowFn = Callable[[int], list[int]]
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class ScheduleOutcome:
 def schedule_cores(
     core_names: Sequence[str],
     widths: Sequence[int],
-    time_of: TimeFn,
+    time_of: TimeTable | TimeFn,
 ) -> ScheduleOutcome:
     """Assign cores to TAMs with the paper's list heuristic.
 
@@ -68,33 +71,42 @@ def schedule_cores(
     Callers that schedule many partitions over the same cores should
     keep one :class:`TimeTable` and call :func:`schedule_cores_indexed`.
     """
-    return schedule_cores_indexed(TimeTable(core_names, time_of), widths)
+    return schedule_cores_indexed(as_table(core_names, time_of), widths)
 
 
 class TimeTable:
-    """Dense, position-indexed memo over a ``time_of`` callback.
+    """A plan's cost table: one value per core at every TAM width.
 
-    The partition search schedules tens of thousands of partitions over
-    the same handful of cores and widths; going through the generic
-    ``time_of(name, width)`` callback per (core, TAM) step would pay a
-    call millions of times.  This table resolves each width to a plain
-    row of ints (indexed by core position) once, and memoizes the
-    longest-first core order per widest width -- the only two lookups
-    the inner loop needs.
+    Steps 1-2 of the paper give each core a test time at every width;
+    steps 3-4 only read them, through this table: a row of ints per
+    width (indexed by core position), filled on its first read, and the
+    memoized longest-first core order per widest width.  The pipeline's
+    tables fill whole rows from their own data (:meth:`from_rows`);
+    ``TimeTable(names, time_of)`` wraps a per-(core, width) callback.
     """
 
     def __init__(self, core_names: Sequence[str], time_of: TimeFn) -> None:
-        self.core_names = list(core_names)
-        self._time_of = time_of
+        names = list(core_names)
+        self._start(names, lambda width: [time_of(name, width) for name in names])
+
+    @classmethod
+    def from_rows(cls, core_names: Sequence[str], row_of: RowFn) -> TimeTable:
+        """The table whose row at a width is ``row_of(width)``, read once."""
+        table = cls.__new__(cls)
+        table._start(list(core_names), row_of)
+        return table
+
+    def _start(self, core_names: list[str], row_of: RowFn) -> None:
+        self.core_names = core_names
+        self._row_of = row_of
         self._rows: dict[int, list[int]] = {}
         self._orders: dict[int, list[int]] = {}
 
     def row(self, width: int) -> list[int]:
-        """Test time of every core (input order) at ``width``."""
+        """Value of every core (input order) at ``width``."""
         row = self._rows.get(width)
         if row is None:
-            row = [self._time_of(name, width) for name in self.core_names]
-            self._rows[width] = row
+            row = self._rows[width] = self._row_of(width)
         return row
 
     def order(self, widest: int) -> list[int]:
@@ -106,6 +118,26 @@ class TimeTable:
             order = sorted(range(len(names)), key=lambda i: (-row[i], names[i]))
             self._orders[widest] = order
         return order
+
+
+def tam_loads(
+    table: TimeTable, widths: Sequence[int], assignment: Sequence[int]
+) -> list[int]:
+    """Each TAM's summed table value over its cores (``assignment[i]``)."""
+    rows = [table.row(width) for width in widths]
+    loads = [0] * len(widths)
+    for index, tam in enumerate(assignment):
+        loads[tam] += rows[tam][index]
+    return loads
+
+
+def as_table(core_names: Sequence[str], times: TimeTable | TimeFn) -> TimeTable:
+    """``times`` as a table over ``core_names``; a table is shared as it is."""
+    if not isinstance(times, TimeTable):
+        return TimeTable(core_names, times)
+    if times.core_names != list(core_names):
+        raise ValueError("the cost table lists other cores, or in another order")
+    return times
 
 
 def schedule_cores_indexed(
@@ -277,43 +309,21 @@ def build_architecture(
     *,
     placement: DecompressorPlacement,
     ate_channels: int,
-    time_of: TimeFn | None = None,
+    time_of: TimeTable | TimeFn,
 ) -> TestArchitecture:
     """Materialize a :class:`TestArchitecture` from a schedule outcome.
 
     Start times are laid out serially per TAM in the same
     longest-first order the scheduler used, so the architecture passes
     its own overlap validation and the makespan is preserved.
-
-    ``time_of`` should be the same lookup the scheduler ordered by.
-    The scheduler sorted cores by ``time_of(name, widest)``; reordering
-    here by ``config_of(name, widest).test_time`` instead is only safe
-    when the two agree at the widest width.  When a caller's
-    ``config_of`` disagrees (a resolver that picks a different codec
-    or wrapper at materialization time), the divergent order would
-    shuffle start times away from the ``ScheduleOutcome`` and the
-    materialized makespan could differ from ``outcome.makespan`` --
-    so pass ``time_of`` whenever it is available; the ``config_of``
-    fallback exists for callers that genuinely have only configs.
+    ``time_of`` is the cost table (or callback) the scheduler ordered
+    by; ``config_of`` is read once per core, at its TAM's width.
     """
     widths = outcome.widths
     tams = tuple(Tam(index=i, width=w) for i, w in enumerate(widths))
 
     # Recreate the scheduling order to lay out serial slots per TAM.
-    widest = max(widths)
-    if time_of is not None:
-        widest_time = time_of
-    else:
-        def widest_time(name: str, width: int) -> int:
-            return config_of(name, width).test_time
-
-    order = sorted(
-        range(len(core_names)),
-        key=lambda i: (
-            -widest_time(core_names[i], widest),
-            core_names[i],
-        ),
-    )
+    order = as_table(core_names, time_of).order(max(widths))
     loads = [0] * len(widths)
     scheduled: list[ScheduledCore] = []
     for index in order:

@@ -46,7 +46,10 @@ from repro.core.architecture import (
     Tam,
     TestArchitecture,
 )
-from repro.core.scheduler import ConfigFn, TimeFn
+from repro.core.scheduler import ConfigFn, TimeFn, TimeTable, as_table
+
+#: A per-core flat test power: a map by core name, or a callback.
+PowerMap = Mapping[str, float] | Callable[[str], float]
 
 #: Windows smaller than this are not worth a preemption (ATE burst
 #: setup dominates); expressed in cycles.
@@ -141,6 +144,20 @@ def power_steps(
     if not steps or steps[0][0] > 0:
         steps.insert(0, (0, 0.0))
     return steps
+
+
+def core_powers(
+    core_names: Sequence[str], power_of: PowerMap | None
+) -> list[float]:
+    """Every core's flat test power, in order; a map must name every core."""
+    if power_of is None:
+        return [0.0] * len(core_names)
+    if callable(power_of):
+        return [float(power_of(name)) for name in core_names]
+    missing = [name for name in core_names if name not in power_of]
+    if missing:
+        raise ValueError(f"the power map has no entry for core(s) {', '.join(missing)}")
+    return [float(power_of[name]) for name in core_names]
 
 
 class PrecedenceError(ValueError):
@@ -322,9 +339,9 @@ def _place_piecewise(
 def _list_schedule(
     core_names: Sequence[str],
     widths: Sequence[int],
-    time_of: TimeFn,
+    time_of: TimeTable | TimeFn,
     *,
-    power_of: Mapping[str, float] | Callable[[str], float] | None,
+    power_of: PowerMap | None,
     power_budget: float | None,
     precedence: Sequence[tuple[str, str]],
     max_segments: int | None = None,
@@ -344,20 +361,14 @@ def _list_schedule(
         duplicates = sorted({n for n in core_names if core_names.count(n) > 1})
         raise ValueError(f"duplicate core names: {duplicates}")
     preds = _check_precedence(core_names, precedence)
-
-    def power(name: str) -> float:
-        if power_of is None:
-            return 0.0
-        if callable(power_of):
-            return float(power_of(name))
-        return float(power_of[name])
-
+    table = as_table(core_names, time_of)
+    powers = core_powers(core_names, power_of)
     if power_budget is not None:
-        for name in core_names:
-            if power(name) > power_budget:
+        for name, power in zip(core_names, powers):
+            if power > power_budget:
                 raise ValueError(
                     f"core {name!r} alone exceeds the power budget "
-                    f"({power(name):.2f} > {power_budget:.2f})"
+                    f"({power:.2f} > {power_budget:.2f})"
                 )
 
     place: Callable[..., _Pieces | None] = (
@@ -365,26 +376,28 @@ def _list_schedule(
         if max_segments is None
         else partial(_place_piecewise, max_segments=max_segments)
     )
-    widest = max(widths)
+    rows = [table.row(width) for width in widths]
     # The longest-first key never changes, so sort once; each step
     # places the first unplaced core whose predecessors are all placed.
-    order = sorted(core_names, key=lambda n: (-time_of(n, widest), n))
+    order = table.order(max(widths))
     placed: list[Segment] = []
     tam_free = [0] * len(widths)  # end of each TAM's last placed test
     finished: dict[str, int] = {}
     while len(finished) < len(order):
-        name = next(
-            n
-            for n in order
-            if n not in finished and preds[n] <= finished.keys()
+        index = next(
+            i
+            for i in order
+            if core_names[i] not in finished
+            and preds[core_names[i]] <= finished.keys()
         )
+        name = core_names[index]
         ready_at = max((finished[p] for p in preds[name]), default=0)
-        core_power = power(name)
+        core_power = powers[index]
         best: _Pieces | None = None
         best_tam = -1
-        for tam, width in enumerate(widths):
+        for tam, row in enumerate(rows):
             pieces = place(
-                placed, tam_free, tam, ready_at, time_of(name, width),
+                placed, tam_free, tam, ready_at, row[index],
                 core_power, power_budget,
             )
             # Earliest finish, ties broken by TAM index -- the same
@@ -399,8 +412,8 @@ def _list_schedule(
         if best is None:
             raise ValueError(f"no feasible placement for core {name!r}")
         placed += [
-            Segment(name, best_tam, start, end, core_power, index)
-            for index, (start, end) in enumerate(best)
+            Segment(name, best_tam, start, end, core_power, piece)
+            for piece, (start, end) in enumerate(best)
         ]
         finished[name] = tam_free[best_tam] = best[-1][1]
 
@@ -418,16 +431,17 @@ def _list_schedule(
 def schedule_constrained(
     core_names: Sequence[str],
     widths: Sequence[int],
-    time_of: TimeFn,
+    time_of: TimeTable | TimeFn,
     *,
-    power_of: Mapping[str, float] | Callable[[str], float] | None = None,
+    power_of: PowerMap | None = None,
     power_budget: float | None = None,
     precedence: Sequence[tuple[str, str]] = (),
 ) -> ConstrainedSchedule:
     """Longest-first list scheduling with power and precedence constraints.
 
     Raises :class:`PrecedenceError` for malformed precedence and
-    ``ValueError`` for duplicate core names and when a single core's
+    ``ValueError`` for duplicate core names, for a power map that
+    leaves out a core (:func:`core_powers`), and when a single core's
     power already exceeds the budget (no schedule exists under the flat
     model).
     """
@@ -444,9 +458,9 @@ def schedule_constrained(
 def schedule_preemptive(
     core_names: Sequence[str],
     widths: Sequence[int],
-    time_of: TimeFn,
+    time_of: TimeTable | TimeFn,
     *,
-    power_of: Mapping[str, float] | Callable[[str], float] | None = None,
+    power_of: PowerMap | None = None,
     power_budget: float | None = None,
     precedence: Sequence[tuple[str, str]] = (),
     max_segments: int = 3,

@@ -36,6 +36,7 @@ import contextlib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Literal, Sequence
 
 import numpy as np
@@ -161,7 +162,7 @@ class CoreAnalysis:
     #: and finds them non-improving.
     EXTRA_CODE_WIDTHS = 3
 
-    @property
+    @cached_property
     def max_code_width(self) -> int:
         """Largest code width the exploration considers."""
         m = self.core.max_useful_wrapper_chains
@@ -323,6 +324,16 @@ class CoreAnalysis:
         best = min(points, key=lambda p: (p.test_time, p.m), default=None)
         self._best_by_width[w] = best
         return best
+
+    def best_for_code_widths(
+        self, widths: Iterable[int]
+    ) -> list[CompressedPoint | None]:
+        """:meth:`best_for_code_width` of every width, in order.
+
+        Memoized widths are read directly, so a warm row is one call.
+        """
+        best = self._best_by_width
+        return [best[w] if w in best else self.best_for_code_width(w) for w in widths]
 
     def best_compressed_for_tam(self, tam_width: int) -> CompressedPoint | None:
         """Fastest configuration whose code width fits ``tam_width`` wires.

@@ -24,20 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.architecture import (
-    CoreConfig,
     DecompressorPlacement,
     ScheduledCore,
     Tam,
     TestArchitecture,
 )
+from repro.core.scheduler import ConfigFn
 from repro.pack.rects import CoreRectangles
 from repro.pack.skyline import Skyline
-
-#: ``(core name, tam width) -> CoreConfig`` -- the scheduler's resolver.
-ConfigFn = Callable[[str, int], CoreConfig]
 
 #: The registered placement heuristics (``auto`` packs with both and
 #: keeps the better makespan).

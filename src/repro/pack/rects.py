@@ -2,7 +2,7 @@
 
 A core is not one rectangle but a *family*: at every TAM width ``w``
 the wrapper/decompressor co-design gives a test time ``tau_c(w, m)``
-(the same ``time_of`` lookup the list scheduler uses), so the packer
+(a row of the same cost table the list scheduler reads), so the packer
 may choose the shape as well as the position.  The family is staircase
 monotone -- more wires never make a test slower -- so only the Pareto
 corners matter: the *narrowest* width achieving each distinct test
@@ -13,10 +13,9 @@ linear in the number of distinct times instead of the full width range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-#: ``(core name, tam width) -> test time`` -- the scheduler's lookup.
-TimeFn = Callable[[str, int], int]
+from repro.core.scheduler import TimeFn, TimeTable, as_table
 
 
 @dataclass(frozen=True)
@@ -95,25 +94,26 @@ def _thin(
 
 def core_rectangles(
     names: Sequence[str],
-    time_of: TimeFn,
+    time_of: TimeTable | TimeFn,
     max_width: int,
     *,
     max_widths: int | None = None,
 ) -> tuple[CoreRectangles, ...]:
     """The rectangle family of every core, in input order.
 
-    Evaluates ``time_of`` at every width ``1..max_width`` and prunes to
-    the Pareto corners.  ``max_widths`` optionally thins each family to
-    at most that many shapes (extremes always kept) -- the knob behind
-    ``--pack-opt max_widths=N`` for very wide budgets.
+    Reads the cost table's rows at every width ``1..max_width`` and
+    prunes each core's times to the Pareto corners.  ``max_widths``
+    optionally thins each family to at most that many shapes (extremes
+    always kept) -- the knob behind ``--pack-opt max_widths=N`` for
+    very wide budgets.
     """
     if max_width < 1:
         raise ValueError(f"max_width must be >= 1, got {max_width}")
+    table = as_table(names, time_of)
+    rows = [table.row(width) for width in range(1, max_width + 1)]
     families: list[CoreRectangles] = []
-    for name in names:
-        corners = pareto_candidates(
-            [(w, time_of(name, w)) for w in range(1, max_width + 1)]
-        )
+    for index, name in enumerate(table.core_names):
+        corners = pareto_candidates([(w, row[index]) for w, row in enumerate(rows, 1)])
         if max_widths is not None:
             corners = _thin(corners, max_widths)
         families.append(CoreRectangles(name=name, candidates=corners))

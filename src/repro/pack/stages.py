@@ -1,7 +1,7 @@
 """Pipeline stages exposing the rectangle packer as step 3 + step 4.
 
 ``PackingArchitectureStage`` generates each core's rectangle family
-from the same lookup tables the list scheduler uses, packs them, and
+from the rows of the cost table the list scheduler reads, packs them, and
 parks the :class:`~repro.pack.packer.PackedPlan` in ``ctx.extras``
 (the plug-in hand-off pattern the constrained and per-TAM flows use).
 ``PackingScheduleStage`` materializes it into the ordinary
@@ -57,7 +57,7 @@ class PackingArchitectureStage(Stage):
         with obs.span("pack", heuristic=heuristic) as attrs:
             families = core_rectangles(
                 ctx.names,
-                tables.time_of,
+                tables.times,
                 ctx.width_budget,
                 max_widths=int(max_widths) if max_widths is not None else None,
             )

@@ -9,9 +9,10 @@ The paper's heuristic is a four-step flow; each step is a
    parallel/cached pass, for efficiency -- see
    :func:`repro.explore.dse.analyze_soc_cores`);
 2. :class:`DecompressorStage` -- applies the compression policy,
-   building the scheduling-facing
+   building the plan's cost tables under a ``tables`` span -- the
    :class:`~repro.pipeline.tables.LookupTables` (one row per core over
-   every width of the budget, under a ``tables`` span) and fixing the
+   every width of the budget), or for ``per-tam`` the
+   :class:`~repro.pipeline.tables.SharedWidthTables` -- and fixing the
    decompressor placement;
 3. an **architecture** stage -- chooses the TAM partition and the
    core assignment: the paper's step 3.  :class:`ArchitectureStage`
@@ -34,35 +35,30 @@ from __future__ import annotations
 
 import abc
 import functools
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro import obs
-from repro.core.architecture import (
-    DecompressorPlacement,
-    ScheduledCore,
-    Tam,
-    TestArchitecture,
-)
+from repro.core.architecture import DecompressorPlacement, TestArchitecture
 from repro.core.partition import PartitionSearchResult
 from repro.core.scheduler import (
+    ConfigFn,
     ScheduleOutcome,
     TimeFn,
     TimeTable,
     build_architecture,
-    schedule_cores_indexed,
 )
 from repro.core.timeline import (
     ConstrainedSchedule,
     constrained_architecture,
     schedule_constrained,
 )
-from repro.explore.dse import CompressedPoint, CoreAnalysis
+from repro.explore.dse import CoreAnalysis
 from repro.explore.selection import core_config
-from repro.search import run_search
+from repro.search import resolve_search_space, run_search
 from repro.search.evaluator import ScheduleFn
 from repro.pipeline.config import RunConfig
 from repro.pipeline.events import EventRecorder
-from repro.pipeline.tables import LookupTables
+from repro.pipeline.tables import LookupTables, SharedWidthTables
 from repro.soc.soc import Soc
 
 
@@ -83,6 +79,7 @@ class PlanContext:
         self.names: list[str] = []
         self.analyses: dict[str, CoreAnalysis] = {}
         self.tables: LookupTables | None = None
+        self.shared_widths: SharedWidthTables | None = None
         self.placement: DecompressorPlacement = DecompressorPlacement.PER_CORE
         self.power_of: Any = None
         self.search: PartitionSearchResult | None = None
@@ -156,7 +153,7 @@ class WrapperStage(Stage):
 
 
 class DecompressorStage(Stage):
-    """Fix the compression policy, placement, and lookup tables.
+    """Fix the compression policy, placement, and cost tables.
 
     The tables are built here, eagerly, so every wrapper design and
     codeword kernel the later stages read is charged to this stage.
@@ -165,17 +162,26 @@ class DecompressorStage(Stage):
     name = "decompressor"
 
     def run(self, ctx: PlanContext) -> None:
-        compression = ctx.config.compression
+        config = ctx.config
+        compression = config.compression
         if compression == "per-tam":
             ctx.placement = DecompressorPlacement.PER_TAM
         elif compression == "none":
             ctx.placement = DecompressorPlacement.NONE
         else:
             ctx.placement = DecompressorPlacement.PER_CORE
-        if compression != "per-tam":
-            with obs.span(
-                "tables", cores=len(ctx.analyses), width_budget=ctx.width_budget
-            ):
+        with obs.span(
+            "tables", cores=len(ctx.analyses), width_budget=ctx.width_budget
+        ):
+            if "per-tam" in (compression, config.architecture):
+                space = resolve_search_space(
+                    len(ctx.names),
+                    ctx.width_budget,
+                    max_parts=config.max_tams,
+                    min_width=config.min_code_width,
+                )
+                ctx.shared_widths = SharedWidthTables(ctx.analyses, space)
+            else:
                 ctx.tables = LookupTables(
                     ctx.analyses, compression, ctx.width_budget
                 )
@@ -195,6 +201,14 @@ def _require_tables(ctx: PlanContext, stage: str) -> LookupTables:
     return ctx.tables
 
 
+def _require_shared_widths(ctx: PlanContext, stage: str) -> SharedWidthTables:
+    if ctx.shared_widths is None:
+        raise RuntimeError(
+            f"stage {stage!r} needs the per-TAM tables; run DecompressorStage first"
+        )
+    return ctx.shared_widths
+
+
 # ---------------------------------------------------------------------------
 # Step 3 variants: test-architecture design.
 # ---------------------------------------------------------------------------
@@ -209,9 +223,9 @@ class ArchitectureStage(Stage):
 
     Thin driver over :func:`repro.search.run_search`: the strategy
     names a registered backend, ``config.search_opts`` carries its
-    hyperparameters, and the multi-objective backends get volume/power
-    lookups wired from the same tables the scheduler uses.  The flow
-    fixes what one partition costs (see :data:`FLOWS`):
+    hyperparameters, and the multi-objective backends get the volume
+    rows of the same tables the scheduler reads, and the config's power
+    map.  The flow fixes what one partition costs (see :data:`FLOWS`):
 
     * ``standard`` -- the lookup tables' times under the paper's list
       heuristic;
@@ -245,30 +259,18 @@ class ArchitectureStage(Stage):
     def run(self, ctx: PlanContext) -> None:
         config = ctx.config
         strategy = self.strategy or config.strategy
-        time_of, schedule, min_width = self._objective(ctx)
-        tables = ctx.tables
-
-        def volume_of(name: str, width: int) -> int:
-            assert tables is not None
-            return tables.config_of(name, width).volume
-
-        power_map = config.power_of
-        power_of = (
-            (lambda name: float(power_map.get(name, 0.0)))
-            if power_map is not None
-            else None
-        )
+        times, schedule, min_width = self._objective(ctx)
         with obs.span("search", strategy=strategy) as attrs:
             search = run_search(
                 ctx.names,
                 ctx.width_budget,
-                time_of,
+                times,
                 max_parts=config.max_tams,
                 min_width=min_width,
                 strategy=strategy,
                 options=config.search_options(),
-                volume_of=volume_of if tables is not None else None,
-                power_of=power_of,
+                volume_of=ctx.tables.volumes if ctx.tables is not None else None,
+                power_of=config.power_of,
                 schedule=schedule,
             )
             attrs["partitions"] = search.partitions_evaluated
@@ -288,17 +290,17 @@ class ArchitectureStage(Stage):
 
     def _objective(
         self, ctx: PlanContext
-    ) -> tuple[TimeFn, ScheduleFn | None, int]:
-        """The flow's ``(time_of, schedule, min_width)``."""
+    ) -> tuple[TimeTable, ScheduleFn | None, int]:
+        """The flow's ``(times, schedule, min_width)``."""
         config = ctx.config
         if self.flow == "per-tam":
-            costs = _SharedWidths(ctx.analyses, ctx.names)
-            return costs.code_width_time, costs.schedule, config.min_code_width
+            shared = _require_shared_widths(ctx, self.name)
+            return shared.times, shared.schedule, config.min_code_width
         tables = _require_tables(ctx, self.name)
         if self.flow == "standard":
-            return tables.time_of, None, config.min_tam_width
+            return tables.times, None, config.min_tam_width
         schedule = functools.partial(_constrained_outcome, ctx)
-        return tables.time_of, schedule, config.min_tam_width
+        return tables.times, schedule, config.min_tam_width
 
 
 def _power_of(ctx: PlanContext) -> Any:
@@ -321,14 +323,14 @@ def _power_of(ctx: PlanContext) -> Any:
 
 
 def _schedule_constrained(
-    ctx: PlanContext, widths: Sequence[int]
+    ctx: PlanContext, table: TimeTable, widths: tuple[int, ...]
 ) -> ConstrainedSchedule:
     """The power/precedence schedule of one partition of this run."""
     config = ctx.config
     return schedule_constrained(
         ctx.names,
         widths,
-        _require_tables(ctx, "constrained").time_of,
+        table,
         power_of=_power_of(ctx),
         power_budget=config.power_budget,
         precedence=config.precedence,
@@ -338,108 +340,14 @@ def _schedule_constrained(
 def _constrained_outcome(
     ctx: PlanContext, table: TimeTable, widths: tuple[int, ...]
 ) -> ScheduleOutcome:
-    """The constrained flow's search objective (``table`` goes unused)."""
-    schedule = _schedule_constrained(ctx, widths)
+    """The constrained flow's search objective."""
+    schedule = _schedule_constrained(ctx, table, widths)
     tam_of = {segment.name: segment.tam for segment in schedule.segments}
     return ScheduleOutcome(
         widths=schedule.widths,
         makespan=schedule.makespan,
         assignment=tuple(tam_of[name] for name in ctx.names),
     )
-
-
-class _SharedWidths:
-    """Figure 4(b) costs: one decompressor, one expanded width per TAM.
-
-    A partition is list-scheduled on each core's best time at its TAM's
-    code width.  Each TAM then fixes one shared expanded width m from
-    its members' favorite m values, and every member is re-costed at
-    it.  Every partition asks again about the same (core, width) and
-    (core, m) pairs; each is answered once per instance.
-    """
-
-    def __init__(
-        self, analyses: dict[str, CoreAnalysis], names: Sequence[str]
-    ) -> None:
-        self.analyses = analyses
-        self.names = list(names)
-        self.code_width_time = functools.cache(self._code_width_time)
-        self.shared_m_time = functools.cache(self._shared_m_time)
-        self._favorite_m = functools.cache(self._favorite)
-
-    def _code_width_time(self, name: str, w: int) -> int:
-        analysis = self.analyses[name]
-        best = analysis.best_for_code_width(w) or analysis.best_compressed_for_tam(w)
-        if best is None:
-            return analysis.uncompressed_point(w).test_time
-        return best.test_time
-
-    def _favorite(self, name: str, w: int) -> int | None:
-        best = self.analyses[name].best_for_code_width(w)
-        return None if best is None else best.m
-
-    def _shared_m_time(self, name: str, shared_m: int) -> int:
-        return self.point(name, shared_m).test_time
-
-    def point(self, name: str, shared_m: int) -> CompressedPoint:
-        """The core's design point when its TAM expands to ``shared_m``.
-
-        The core can only use as many wrapper chains as it has scanned
-        elements; surplus decompressor outputs idle.
-        """
-        analysis = self.analyses[name]
-        m = min(shared_m, analysis.core.max_useful_wrapper_chains)
-        return analysis.compressed_point(m)
-
-    def shared_ms(
-        self, widths: Sequence[int], assignment: Sequence[int]
-    ) -> tuple[list[int], list[int]]:
-        """Each TAM's shared m and its members' summed time at it.
-
-        An empty TAM gets m = 1 and load 0.  Otherwise the m is the
-        members' favorite (or, when none has one, their smallest useful
-        chain count) with the least summed time.
-        """
-        shared: list[int] = []
-        loads: list[int] = []
-        for tam, w in enumerate(widths):
-            members = [
-                self.names[i] for i, t in enumerate(assignment) if t == tam
-            ]
-            if not members:
-                shared.append(1)
-                loads.append(0)
-                continue
-            favorites = (self._favorite_m(name, w) for name in members)
-            candidates = {m for m in favorites if m is not None}
-            if not candidates:
-                candidates = {
-                    min(
-                        self.analyses[name].core.max_useful_wrapper_chains
-                        for name in members
-                    )
-                }
-            best_m, best_load = None, None
-            for m in sorted(candidates):
-                load = sum(self.shared_m_time(name, m) for name in members)
-                if best_load is None or load < best_load:
-                    best_m, best_load = m, load
-            assert best_m is not None and best_load is not None
-            shared.append(best_m)
-            loads.append(best_load)
-        return shared, loads
-
-    def schedule(
-        self, table: TimeTable, widths: tuple[int, ...]
-    ) -> ScheduleOutcome:
-        """The search objective: list schedule, then the shared-m re-cost."""
-        outcome = schedule_cores_indexed(table, widths)
-        _, loads = self.shared_ms(widths, outcome.assignment)
-        return ScheduleOutcome(
-            widths=outcome.widths,
-            makespan=max(loads),
-            assignment=outcome.assignment,
-        )
 
 
 class RobustArchitectureStage(Stage):
@@ -458,7 +366,7 @@ class RobustArchitectureStage(Stage):
         robust = robust_search(
             ctx.names,
             ctx.width_budget,
-            tables.time_of,
+            tables.times,
             epsilon=self.epsilon,
             max_parts=config.max_tams,
             min_width=config.min_tam_width,
@@ -499,23 +407,27 @@ def _require_search(ctx: PlanContext, stage: str) -> PartitionSearchResult:
     return ctx.search
 
 
+#: An outcome to lay out, with its configurations, times and placement.
+_Layout = tuple[ScheduleOutcome, ConfigFn, TimeTable | TimeFn, DecompressorPlacement]
+
+
 class ScheduleStage(Stage):
     """Lay out the searched partition as a :class:`TestArchitecture`."""
 
     name = "schedule"
 
     def run(self, ctx: PlanContext) -> None:
-        search = _require_search(ctx, self.name)
-        tables = _require_tables(ctx, self.name)
+        outcome = _require_search(ctx, self.name).outcome
+        outcome, config_of, times, placement = self._layout(ctx, outcome)
         with obs.span("place-cores", cores=len(ctx.names)):
             ctx.architecture = build_architecture(
                 ctx.soc.name,
                 ctx.names,
-                search.outcome,
-                tables.config_of,
-                placement=ctx.placement,
+                outcome,
+                config_of,
+                placement=placement,
                 ate_channels=ctx.width_budget,
-                time_of=tables.time_of,
+                time_of=times,
             )
         obs.inc("schedule.cores_scheduled", len(ctx.architecture.scheduled))
         ctx.events.emit(
@@ -524,6 +436,11 @@ class ScheduleStage(Stage):
             test_time=ctx.architecture.test_time,
             tams=len(ctx.architecture.tams),
         )
+
+    def _layout(self, ctx: PlanContext, outcome: ScheduleOutcome) -> _Layout:
+        """What :func:`build_architecture` lays out, and from which rows."""
+        tables = _require_tables(ctx, self.name)
+        return outcome, tables.config_of, tables.times, ctx.placement
 
 
 class ConstrainedScheduleStage(Stage):
@@ -538,7 +455,7 @@ class ConstrainedScheduleStage(Stage):
     def run(self, ctx: PlanContext) -> None:
         search = _require_search(ctx, self.name)
         tables = _require_tables(ctx, self.name)
-        best = _schedule_constrained(ctx, search.widths)
+        best = _schedule_constrained(ctx, tables.times, search.widths)
         ctx.extras["constrained_schedule"] = best
         ctx.architecture = constrained_architecture(
             ctx.soc.name,
@@ -558,53 +475,24 @@ class ConstrainedScheduleStage(Stage):
         )
 
 
-class PerTamScheduleStage(Stage):
-    """Materialize the per-TAM plan with shared expanded widths."""
+class PerTamScheduleStage(ScheduleStage):
+    """Lay out the per-TAM plan, each TAM at its shared expanded width."""
 
-    name = "schedule"
-
-    def run(self, ctx: PlanContext) -> None:
-        outcome = _require_search(ctx, self.name).outcome
-        widths, assignment = outcome.widths, outcome.assignment
-        names = ctx.names
-        costs = _SharedWidths(ctx.analyses, names)
-        shared_ms, _ = costs.shared_ms(widths, assignment)
-
-        tams = tuple(
-            Tam(index=i, width=max(1, shared_ms[i])) for i in range(len(widths))
-        )
-        loads = [0] * len(widths)
-        order = sorted(
-            range(len(names)),
-            key=lambda i: (
-                -costs.shared_m_time(names[i], shared_ms[assignment[i]]),
-                names[i],
-            ),
-        )
-        scheduled = []
-        for index in order:
-            name = names[index]
-            tam = assignment[index]
-            point = costs.point(name, shared_ms[tam])
-            config = core_config(ctx.analyses[name].core, point)
-            start = loads[tam]
-            end = start + config.test_time
-            loads[tam] = end
-            scheduled.append(
-                ScheduledCore(config=config, tam_index=tam, start=start, end=end)
-            )
-        ctx.architecture = TestArchitecture(
-            soc_name=ctx.soc.name,
-            placement=DecompressorPlacement.PER_TAM,
-            tams=tams,
-            scheduled=tuple(scheduled),
-            ate_channels=ctx.width_budget,
-        )
-        ctx.events.emit(
-            "scheduled",
-            self.name,
-            test_time=ctx.architecture.test_time,
-            tams=len(tams),
+    def _layout(self, ctx: PlanContext, outcome: ScheduleOutcome) -> _Layout:
+        shared = _require_shared_widths(ctx, self.name)
+        shared_ms, loads = shared.shared_ms(outcome.widths, outcome.assignment)
+        # A core runs at its own TAM's shared m: one point per core,
+        # whatever TAM width the layout asks about.
+        points = {
+            name: shared.point(index, shared_ms[tam])
+            for index, (name, tam) in enumerate(zip(ctx.names, outcome.assignment))
+        }
+        cores = dict(zip(ctx.names, shared.cores))
+        return (
+            ScheduleOutcome(tuple(shared_ms), max(loads), outcome.assignment),
+            lambda name, _m: core_config(cores[name], points[name]),
+            lambda name, _m: points[name].test_time,
+            DecompressorPlacement.PER_TAM,
         )
 
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Protocol, Sequence, runtime_checkable
 
-from repro.core.scheduler import TimeFn
-from repro.search.evaluator import Evaluator, PowerFn, ScheduleFn, VolumeFn
+from repro.core.scheduler import TimeFn, TimeTable
+from repro.core.timeline import PowerMap
+from repro.search.evaluator import Evaluator, ScheduleFn, VolumeFn
 from repro.search.state import (
     PartitionSearchResult,
     SearchSpace,
@@ -165,14 +166,14 @@ def _coerce_one(key: str, raw: Any, typ: type) -> Any:
 def run_search(
     core_names: Sequence[str],
     total_width: int,
-    time_of: TimeFn,
+    time_of: TimeTable | TimeFn,
     *,
     strategy: str = "auto",
     max_parts: int | None = None,
     min_width: int = 1,
     options: Mapping[str, Any] | None = None,
-    volume_of: VolumeFn | None = None,
-    power_of: PowerFn | None = None,
+    volume_of: TimeTable | VolumeFn | None = None,
+    power_of: PowerMap | None = None,
     schedule: ScheduleFn | None = None,
 ) -> PartitionSearchResult:
     """Resolve the space, pick the backend, and search.

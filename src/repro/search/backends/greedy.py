@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.core.scheduler import ScheduleOutcome
+from repro.core.scheduler import ScheduleOutcome, tam_loads
 from repro.search.evaluator import Evaluator
 from repro.search.state import PartitionSearchResult, SearchSpace
 
@@ -43,9 +43,7 @@ def greedy_moves(
 
 def bottleneck_tam(evaluator: Evaluator, outcome: ScheduleOutcome) -> int:
     """The TAM with the largest summed test time (first on ties)."""
-    loads = [0] * len(outcome.widths)
-    for index, tam in enumerate(outcome.assignment):
-        loads[tam] += evaluator.table.row(outcome.widths[tam])[index]
+    loads = tam_loads(evaluator.table, outcome.widths, outcome.assignment)
     return max(range(len(loads)), key=lambda i: loads[i])
 
 

@@ -38,16 +38,16 @@ from repro.core.scheduler import (
     ScheduleOutcome,
     TimeFn,
     TimeTable,
+    as_table,
     schedule_cores_indexed,
     schedule_makespans_batch,
+    tam_loads,
 )
+from repro.core.timeline import PowerMap, core_powers
 from repro.search.state import SearchState
 
 #: ``volume_of(core_name, tam_width) -> test data volume`` (bits).
 VolumeFn = Callable[[str, int], int]
-
-#: ``power_of(core_name) -> flat test power`` (arbitrary units).
-PowerFn = Callable[[str], float]
 
 #: ``schedule(table, widths) -> outcome``: what one partition costs.
 ScheduleFn = Callable[[TimeTable, tuple[int, ...]], ScheduleOutcome]
@@ -59,24 +59,23 @@ MEMO_MAX_ENTRIES = 1 << 17
 
 
 class Evaluator:
-    """Memoized, counting evaluation of search states for one SOC."""
+    """Memoized, counting evaluation of search states, read from rows."""
 
     def __init__(
         self,
         core_names: Sequence[str],
-        time_of: TimeFn,
+        time_of: TimeTable | TimeFn,
         *,
-        volume_of: VolumeFn | None = None,
-        power_of: PowerFn | None = None,
+        volume_of: TimeTable | VolumeFn | None = None,
+        power_of: PowerMap | None = None,
         schedule: ScheduleFn | None = None,
     ) -> None:
-        self.core_names = list(core_names)
-        self.time_of = time_of
-        self.volume_of = volume_of
-        self.power_of = power_of
+        self.core_names = names = list(core_names)
+        self.table = as_table(names, time_of)
+        self.volumes = None if volume_of is None else as_table(names, volume_of)
+        self.powers = None if power_of is None else core_powers(names, power_of)
         #: The per-partition schedule; ``None`` is the list heuristic.
         self.objective = schedule
-        self.table = TimeTable(self.core_names, time_of)
         #: Evaluations performed (memo hits included -- this is the
         #: number the backends report as ``partitions_evaluated``).
         self.evaluations = 0
@@ -144,10 +143,7 @@ class Evaluator:
                 "partitions (auto, exhaustive, greedy)"
             )
         self._count(1)
-        loads = [0] * len(widths)
-        for index, tam in enumerate(assignment):
-            loads[tam] += self.table.row(widths[tam])[index]
-        makespan = max(loads) if loads else 0
+        makespan = max(tam_loads(self.table, widths, assignment), default=0)
         self._track(
             ScheduleOutcome(
                 widths=tuple(widths),
@@ -162,7 +158,8 @@ class Evaluator:
 
         * *makespan* -- the joint-state cost (:meth:`makespan_of`);
         * *volume* -- total test data streamed, summed per core at its
-          TAM's width (0 when no ``volume_of`` is wired);
+          TAM's width from the volume rows (0 when no ``volume_of`` is
+          wired);
         * *peak power* -- an upper-bound proxy: cores on one TAM run
           serially, TAMs in parallel, so the instantaneous peak never
           exceeds the sum over TAMs of the largest member power (0
@@ -172,16 +169,13 @@ class Evaluator:
         """
         makespan = self.makespan_of(state.widths, state.assignment)
         volume = 0
-        if self.volume_of is not None:
-            volume = sum(
-                self.volume_of(name, state.widths[tam])
-                for name, tam in zip(self.core_names, state.assignment)
-            )
+        if self.volumes is not None:
+            volume = sum(tam_loads(self.volumes, state.widths, state.assignment))
         power = 0.0
-        if self.power_of is not None:
+        if self.powers is not None:
             per_tam = [0.0] * len(state.widths)
-            for name, tam in zip(self.core_names, state.assignment):
-                per_tam[tam] = max(per_tam[tam], self.power_of(name))
+            for core_power, tam in zip(self.powers, state.assignment):
+                per_tam[tam] = max(per_tam[tam], core_power)
             power = sum(per_tam)
         return makespan, volume, power
 

@@ -62,8 +62,8 @@ DEFAULT_PORT = 7465
 #: Ceiling for one request line; a frame beyond it is a client bug.
 MAX_LINE_BYTES = 1 << 20
 
-#: How long :meth:`ServiceServer.stop` lets the handlers of the idle
-#: connections it closed finish before the loop stops.
+#: How long :meth:`ServiceServer.stop` waits for the handlers the drain
+#: woke to reply, then for the idle ones it closed to finish.
 HANDLER_CLOSE_S = 1.0
 
 
@@ -106,13 +106,17 @@ class ServiceServer:
     async def stop(self) -> int:
         """Close the listener, drain the service, then close the connections.
 
-        Idle handlers end on the EOF before the loop stops (one the loop
-        cancels logs a traceback; on Python 3.12+ ``wait_closed`` waits
-        for every connection).
+        Handlers the drain woke reply first; idle ones end on the EOF
+        before the loop stops (one the loop cancels logs a traceback; on
+        Python 3.12+ ``wait_closed`` waits for every connection).
         """
         if self._server is not None:
             self._server.close()
         persisted = await self.service.shutdown(drain=self._drain_on_stop)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + HANDLER_CLOSE_S
+        while self._idle != set(self._connections) and loop.time() < deadline:
+            await asyncio.sleep(0.01)
         for writer in self._connections.values():
             writer.close()
         if self._idle:

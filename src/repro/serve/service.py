@@ -199,9 +199,10 @@ class PlanningService:
         ``drain=True`` (the graceful path, also the SIGTERM path) lets
         running jobs finish; ``drain=False`` cancels them.  Jobs still
         *queued* are persisted to ``state_dir`` either way and restored
-        by the next :meth:`start`.  Either way the attempt threads stop
-        and every worker process is terminated and joined.  Returns the
-        persisted-job count.
+        by the next :meth:`start`, and every caller waiting on one gets
+        :class:`ShuttingDown` from :meth:`wait`.  Either way the attempt
+        threads stop and every worker process is terminated and joined.
+        Returns the persisted-job count.
         """
         self._accepting = False
         self.queue.close()
@@ -222,6 +223,9 @@ class PlanningService:
         if self._pool is not None:
             self._pool.close()
         persisted = self._persist_queue()
+        for job in self.jobs.values():
+            if job.state is JobState.QUEUED and job.done_event is not None:
+                job.done_event.set()
         _LOG.info(
             "service-shutdown",
             drain=drain,
@@ -322,11 +326,13 @@ class PlanningService:
             raise JobNotFound(f"no job {job_id!r}") from None
 
     async def wait(self, job_id: str, timeout: float | None = None) -> Job:
-        """Block until the job reaches a terminal state."""
+        """Block until the job settles; :class:`ShuttingDown` if it never ran."""
         job = self.get(job_id)
         if job.state.terminal or job.done_event is None:
             return job
         await asyncio.wait_for(job.done_event.wait(), timeout)
+        if not job.state.terminal:
+            raise ShuttingDown(f"the service stopped before job {job_id} ran")
         return job
 
     def cancel(self, job_id: str) -> Job:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -131,7 +132,7 @@ class Core:
     def is_combinational(self) -> bool:
         return not self.scan_chain_lengths
 
-    @property
+    @cached_property
     def max_useful_wrapper_chains(self) -> int:
         """Most wrapper chains that can each receive at least one item.
 

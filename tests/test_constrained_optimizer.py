@@ -66,6 +66,27 @@ class TestPowerBudget:
         result = plan(quad_soc, 12, RunConfig(power_of=custom, power_budget=2.0))
         assert result.peak_power <= 2.0
 
+    @pytest.mark.parametrize(
+        "stages",
+        [
+            {},
+            {"architecture": "evolutionary", "schedule": "list"},
+            {"architecture": "constrained", "schedule": "constrained"},
+        ],
+    )
+    def test_power_map_missing_cores_names_them(self, quad_soc, stages):
+        """One rule, whichever loop reads the map first: every gap named."""
+        config = RunConfig(
+            power_of={"c1": 1.0, "c3": 1.0},
+            power_budget=2.0,
+            search_opts=(("generations", "1"), ("population", "4"))
+            if stages.get("architecture") == "evolutionary"
+            else (),
+            **stages,
+        )
+        with pytest.raises(ValueError, match=r"core\(s\) c0, c2$"):
+            plan(quad_soc, 12, config)
+
 
 class TestPrecedence:
     def test_precedence_ordering_respected(self, quad_soc):

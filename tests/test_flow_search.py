@@ -100,6 +100,16 @@ def test_constrained_schedule_honours_the_budget_after_any_search(d695):
     assert verify_plan(result, d695, config=config).ok
 
 
+def test_per_tam_stages_selected_under_another_compression(d695):
+    """The decompressor stage builds the per-TAM rows these stages read."""
+    config = RunConfig(
+        use_cache=False, architecture="per-tam", schedule="per-tam", verify=True
+    )
+    selected = plan(d695, 16, config)
+    routed = plan(d695, 16, _config(d695, "per-tam"))
+    assert selected.architecture == routed.architecture
+
+
 class _TwoTams:
     """A custom backend that costs whole partitions: the best 2-TAM split."""
 

@@ -351,27 +351,15 @@ class TestLookupTablesRows:
         plan(soc, 16, config)
         assert calls == []
 
-    @pytest.mark.parametrize("flow", ["standard", "packing", "power", "robust"])
+    @pytest.mark.parametrize(
+        "flow", ["standard", "packing", "power", "robust", "per-tam"]
+    )
     def test_search_and_schedule_read_only_the_rows(
         self, tiny_soc, flow, monkeypatch
     ):
         from repro.explore.dse import CoreAnalysis
-        from repro.pipeline.events import EventRecorder
-        from repro.pipeline.stages import PlanContext
-        from repro.power.model import power_table
 
-        config = RunConfig(use_cache=False)
-        if flow == "packing":
-            config = config.replace(architecture="packing", schedule="packing")
-        elif flow == "power":
-            budget = 0.6 * sum(power_table(tiny_soc, compression=True).values())
-            config = config.replace(power_budget=budget)
-        stages = list(pipeline_for(config).stages)
-        if flow == "robust":
-            stages[2] = stage_factory("architecture", "robust")()
-        ctx = PlanContext(tiny_soc, 12, config, EventRecorder())
-        WrapperStage().run(ctx)
-        DecompressorStage().run(ctx)
+        ctx, stages = _after_the_tables(tiny_soc, flow)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("analysis queried after the table stage")
@@ -379,6 +367,75 @@ class TestLookupTablesRows:
         monkeypatch.setattr(CoreAnalysis, "_ensure_points", forbidden)
         monkeypatch.setattr(CoreAnalysis, "uncompressed_point", forbidden)
         monkeypatch.setattr(CoreAnalysis, "uncompressed_points", forbidden)
-        for stage in stages[2:]:
+        for stage in stages:
             stage.run(ctx)
         assert ctx.architecture is not None
+
+    @pytest.mark.parametrize(
+        "flow",
+        [
+            "standard",
+            "none",
+            "packing",
+            "power",
+            "robust",
+            "per-tam",
+            "anneal",
+            "evolutionary",
+        ],
+    )
+    def test_search_and_schedule_call_no_lookup(
+        self, tiny_soc, flow, monkeypatch
+    ):
+        """The loops read the rows; a plan reads only its winners' configs."""
+        ctx, stages = _after_the_tables(tiny_soc, flow)
+        calls = {"time_of": 0, "config_of": 0}
+
+        def counting(method):
+            original = getattr(LookupTables, method)
+
+            def count(self, name, width):
+                calls[method] += 1
+                return original(self, name, width)
+
+            monkeypatch.setattr(LookupTables, method, count)
+
+        counting("time_of")
+        counting("config_of")
+        for stage in stages:
+            stage.run(ctx)
+        assert calls["time_of"] == 0
+        assert calls["config_of"] <= len(ctx.architecture.scheduled)
+
+
+def _after_the_tables(soc, flow):
+    """A context past :class:`DecompressorStage`, and the flow's later stages."""
+    from repro.pipeline.events import EventRecorder
+    from repro.pipeline.stages import PlanContext
+    from repro.power.model import power_table
+
+    config = RunConfig(use_cache=False)
+    if flow == "packing":
+        config = config.replace(architecture="packing", schedule="packing")
+    elif flow == "power":
+        budget = 0.6 * sum(power_table(soc, compression=True).values())
+        config = config.replace(power_budget=budget)
+    elif flow in ("none", "per-tam"):
+        config = config.replace(compression=flow)
+    elif flow == "anneal":
+        config = config.replace(strategy=flow, search_opts=(("iterations", "200"),))
+    elif flow == "evolutionary":
+        config = config.replace(
+            strategy=flow,
+            search_opts=(("generations", "3"), ("population", "6")),
+            power_of={core.name: 1.0 + index for index, core in enumerate(soc.cores)},
+            architecture="evolutionary",
+            schedule="list",
+        )
+    stages = list(pipeline_for(config).stages)
+    if flow == "robust":
+        stages[2] = stage_factory("architecture", "robust")()
+    ctx = PlanContext(soc, 12, config, EventRecorder())
+    WrapperStage().run(ctx)
+    DecompressorStage().run(ctx)
+    return ctx, stages[2:]

@@ -91,6 +91,7 @@ class TestBuildArchitecture:
             self._config_fn(times),
             placement=DecompressorPlacement.NONE,
             ate_channels=3,
+            time_of=flat_time(times),
         )
         assert arch.test_time == outcome.makespan
         assert len(arch.scheduled) == 3
@@ -107,6 +108,7 @@ class TestBuildArchitecture:
             self._config_fn(times),
             placement=DecompressorPlacement.NONE,
             ate_channels=1,
+            time_of=flat_time(times),
         )
         slots = sorted(arch.scheduled, key=lambda s: s.start)
         for first, second in zip(slots, slots[1:]):
@@ -165,5 +167,6 @@ class TestBuildArchitecture:
             self._config_fn(times),
             placement=DecompressorPlacement.NONE,
             ate_channels=2,
+            time_of=flat_time(times),
         )
         assert arch.test_data_volume == 2 * 2 + 3 * 2

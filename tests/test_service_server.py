@@ -27,6 +27,7 @@ from repro.serve import (
     BackpressureError,
     JobFailed,
     ServiceClient,
+    ShuttingDown,
     connect_with_retry,
 )
 
@@ -298,6 +299,41 @@ class TestGracefulShutdown:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+
+    def test_sigterm_answers_a_client_waiting_on_a_queued_job(self):
+        """The drain answers ``result`` on a job that never ran."""
+        proc, ready = _spawn_server("--jobs", "1")
+        try:
+            host, port = ready["host"], ready["port"]
+            with connect_with_retry(host, port) as client:
+                config = RunConfig(compression="none")
+                running = client.submit(
+                    "d695", 8, config, fault={"sleep_s": 3.0}
+                )
+                queued = client.submit("d695", 10, config)
+                deadline = time.monotonic() + 30
+                while client.status(running.job_id)["state"] != "running":
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
+            with connect_with_retry(host, port) as waiter, ThreadPoolExecutor(
+                1
+            ) as pool:
+                pending = pool.submit(waiter.result, queued.job_id, timeout_s=60)
+                time.sleep(0.5)  # the result request is blocked server-side
+                assert not pending.done()
+                proc.send_signal(signal.SIGTERM)
+                with pytest.raises(ShuttingDown) as excinfo:
+                    pending.result(timeout=EXIT_DEADLINE_S)
+            assert excinfo.value.code == "shutting-down"
+            returncode, stderr = _wait_exit(proc)
+            assert returncode == 0
+            assert "Traceback" not in stderr
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
 
     def test_shutdown_op_exits_zero(self):
         proc, ready = _spawn_server("--isolation", "thread", "--jobs", "1")

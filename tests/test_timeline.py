@@ -8,6 +8,7 @@ from repro.core.timeline import (
     Segment,
     power_steps,
     schedule_constrained,
+    schedule_preemptive,
 )
 
 
@@ -76,6 +77,21 @@ class TestValidation:
                 flat_time({"a": 1}),
                 power_of={"a": 10.0},
                 power_budget=5.0,
+            )
+
+    @pytest.mark.parametrize("budget", [None, 5.0])
+    @pytest.mark.parametrize(
+        "schedule", [schedule_constrained, schedule_preemptive]
+    )
+    def test_power_map_missing_cores(self, schedule, budget):
+        times = {"a": 3, "b": 2, "c": 1}
+        with pytest.raises(ValueError, match=r"core\(s\) a, c$"):
+            schedule(
+                list(times),
+                [1, 1],
+                flat_time(times),
+                power_of={"b": 1.0},
+                power_budget=budget,
             )
 
 
