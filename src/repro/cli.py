@@ -36,7 +36,7 @@ import sys
 
 from repro import obs
 from repro.core.architecture import architecture_summary
-from repro.pipeline import RunConfig
+from repro.pipeline import COMPRESSION_MODES, RunConfig
 from repro.pipeline import plan as run_plan
 from repro.soc.industrial import load_design
 
@@ -253,8 +253,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             soc = load_design(result.soc_name)
         except KeyError:
             soc = None  # unknown design: structural checks only
-        config = RunConfig(compression=result.compression)
-        report = verify_plan(result, soc, config=config)
+        # Only the analysis knobs: the verifier reads the plan's
+        # geometry and budgets from the export itself.
+        report = verify_plan(result, soc, config=_run_config(args))
     else:
         if not args.design or args.width is None:
             print(
@@ -481,9 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument("--width", type=int, required=True, help="W_TAM budget")
     plan.add_argument(
-        "--compression",
-        choices=["per-core", "none", "auto", "select"],
-        default="per-core",
+        "--compression", choices=COMPRESSION_MODES, default="per-core"
     )
     plan.add_argument("--no-compression", action="store_true")
     plan.add_argument("--max-tams", type=int, default=None)
@@ -559,9 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--width", type=int, default=None, help="W_TAM budget")
     verify.add_argument(
-        "--compression",
-        choices=["per-core", "none", "auto", "select", "per-tam"],
-        default="per-core",
+        "--compression", choices=COMPRESSION_MODES, default="per-core"
     )
     verify.add_argument(
         "--plan",
@@ -612,9 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("design")
     simulate.add_argument("--width", type=int, required=True)
     simulate.add_argument(
-        "--compression",
-        choices=["per-core", "none", "auto", "select"],
-        default="auto",
+        "--compression", choices=COMPRESSION_MODES, default="auto"
     )
     _add_perf_args(simulate)
     simulate.set_defaults(func=_cmd_simulate)
@@ -623,9 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("design")
     export.add_argument("--width", type=int, required=True)
     export.add_argument(
-        "--compression",
-        choices=["per-core", "none", "auto", "select"],
-        default="auto",
+        "--compression", choices=COMPRESSION_MODES, default="auto"
     )
     export.add_argument("--out", default=None, help="output path (default stdout)")
     _add_perf_args(export)
@@ -636,7 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     power.add_argument("--width", type=int, required=True)
     power.add_argument(
         "--compression",
-        choices=["per-core", "none", "auto"],
+        # The constrained flow plans the budget, on per-core tables.
+        choices=[mode for mode in COMPRESSION_MODES if mode != "per-tam"],
         default="per-core",
     )
     power.add_argument(
@@ -723,9 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("design")
     submit.add_argument("--width", type=int, required=True)
     submit.add_argument(
-        "--compression",
-        choices=["per-core", "none", "auto", "select"],
-        default="per-core",
+        "--compression", choices=COMPRESSION_MODES, default="per-core"
     )
     submit.add_argument(
         "--priority", type=int, default=0, help="higher runs earlier"

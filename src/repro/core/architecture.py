@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
 
 
 class DecompressorPlacement(enum.Enum):
@@ -26,10 +25,16 @@ class DecompressorPlacement(enum.Enum):
 
 @dataclass(frozen=True)
 class Tam:
-    """One fixed-width test access mechanism bus."""
+    """One fixed-width test access mechanism bus.
+
+    ``offset`` is the first ATE channel the TAM occupies, set only where
+    TAMs time-share wires (one per packed rectangle); a TAM without one
+    owns its wires for the whole test.
+    """
 
     index: int
     width: int
+    offset: int | None = None
 
     def __post_init__(self) -> None:
         if self.width < 1:
@@ -93,7 +98,12 @@ class ScheduledCore:
 
 @dataclass(frozen=True)
 class TestArchitecture:
-    """A complete SOC test architecture and schedule."""
+    """A complete SOC test architecture and schedule.
+
+    ``ate_cycles`` is the cycles the ATE needs to feed the stream when
+    that outlasts the schedule (one codeword per cycle into a chip-level
+    decompressor); 0 when the schedule alone sets the test time.
+    """
 
     __test__ = False  # "Test" prefix is domain vocabulary, not a pytest class
 
@@ -102,6 +112,7 @@ class TestArchitecture:
     tams: tuple[Tam, ...]
     scheduled: tuple[ScheduledCore, ...]
     ate_channels: int
+    ate_cycles: int = 0
 
     def __post_init__(self) -> None:
         tam_indices = {t.index for t in self.tams}
@@ -134,8 +145,9 @@ class TestArchitecture:
 
     @property
     def test_time(self) -> int:
-        """SOC test time: when the last core finishes."""
-        return max((s.end for s in self.scheduled), default=0)
+        """SOC test time: when the last core finishes, or the ATE does."""
+        last = max((s.end for s in self.scheduled), default=0)
+        return max(self.ate_cycles, last)
 
     @property
     def test_data_volume(self) -> int:
@@ -212,12 +224,3 @@ def architecture_summary(arch: TestArchitecture) -> str:
     for tam_index, names in arch.cores_per_tam.items():
         parts.append(f"  TAM{tam_index}: {' -> '.join(names) if names else '(idle)'}")
     return "\n".join(parts)
-
-
-def validate_width_budget(
-    tams: Iterable[Tam], budget: int, *, label: str = "TAM width"
-) -> None:
-    """Raise if the TAM widths exceed the given wire budget."""
-    total = sum(t.width for t in tams)
-    if total > budget:
-        raise ValueError(f"{label} budget exceeded: {total} > {budget}")

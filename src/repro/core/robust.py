@@ -144,22 +144,17 @@ def robust_plan(
     Runs the standard wrapper/decompressor stages, swaps the
     architecture stage for
     :class:`~repro.pipeline.stages.RobustArchitectureStage` (the
-    registry's "robust" entry), and schedules as usual.  Returns the
+    registry's "robust" entry), and schedules as usual -- verified when
+    ``config.verify`` is set.  Returns the
     :class:`~repro.pipeline.result.PlanResult` together with the
     nominal and worst-case makespans of the chosen assignment.
     """
     from repro.pipeline.config import RunConfig
     from repro.pipeline.events import RunEvent
-    from repro.pipeline.pipeline import Pipeline
-    from repro.pipeline.stages import (
-        DecompressorStage,
-        RobustArchitectureStage,
-        ScheduleStage,
-        WrapperStage,
-    )
+    from repro.pipeline.pipeline import pipeline_for
+    from repro.pipeline.stages import RobustArchitectureStage
 
-    if config is None:
-        config = RunConfig()
+    config = (config or RunConfig()).replace(architecture="robust", schedule="list")
     captured: dict[str, Any] = {}
 
     def capture(event: RunEvent) -> None:
@@ -169,14 +164,8 @@ def robust_plan(
     sinks = [capture]
     if events is not None:
         sinks.extend(events if isinstance(events, (list, tuple)) else [events])
-    pipeline = Pipeline(
-        [
-            WrapperStage(),
-            DecompressorStage(),
-            RobustArchitectureStage(epsilon=epsilon),
-            ScheduleStage(),
-        ],
-        name="robust",
+    pipeline = pipeline_for(
+        config, architecture=RobustArchitectureStage(epsilon=epsilon)
     )
     result = pipeline.run(soc, tam_width, config, events=sinks)
     return RobustPlanResult(

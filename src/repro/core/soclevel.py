@@ -25,17 +25,13 @@ second-order at industrial care densities.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import time as _time
 
 import numpy as np
 
-from repro.core.architecture import (
-    CoreConfig,
-    DecompressorPlacement,
-    ScheduledCore,
-    Tam,
-    TestArchitecture,
-)
+from repro.core.architecture import DecompressorPlacement, TestArchitecture
 from repro.compression.selective import GROUP_COPY_THRESHOLD, code_parameters
 from repro.compression.estimator import DEFAULT_SAMPLES
 from repro.explore.dse import DEFAULT_GRID, Mode, analysis_for
@@ -130,89 +126,59 @@ def optimize_soc_level_decompressor(
     group_bits, code_width = code_parameters(internal_width)
 
     # Per-core adjusted care cost at its internal TAM width.
+    scheduled = internal.architecture.scheduled
     width_of_tam = {t.index: t.width for t in internal.architecture.tams}
-    extra = 0
-    scheduled: list[ScheduledCore] = []
-    for item in internal.architecture.scheduled:
-        core = soc.core(item.config.core_name)
-        tam_width = width_of_tam[item.tam_index]
-        extra += _adjusted_target_bits(core, tam_width, group_bits, samples=samples)
-        scheduled.append(item)
-
-    internal_cycles = internal.architecture.test_time
-    total_codewords = internal_cycles + extra
+    extra = sum(
+        _adjusted_target_bits(
+            soc.core(item.config.core_name),
+            width_of_tam[item.tam_index],
+            group_bits,
+            samples=samples,
+        )
+        for item in scheduled
+    )
+    total_codewords = internal.architecture.test_time + extra
     volume = total_codewords * code_width
 
     # Re-express the architecture: same internal TAMs and slots, but the
     # placement/channel bookkeeping reflects the chip-level decompressor.
     # Per-core volumes are not individually meaningful in this model, so
-    # the stream volume is attached pro rata by slot length.
-    configs: list[ScheduledCore] = []
-    for item in scheduled:
-        share = (
-            volume * (item.end - item.start) // max(1, internal_cycles)
-            if internal_cycles
-            else 0
+    # the stream volume is split pro rata by slot length -- over the
+    # summed slot lengths, since the slots run concurrently -- and the
+    # shares add up to it exactly.
+    lengths = [item.end - item.start for item in scheduled]
+    cuts = [
+        volume * done // (sum(lengths) or 1)
+        for done in itertools.accumulate(lengths, initial=0)
+    ]
+    configs = tuple(
+        dataclasses.replace(
+            item,
+            config=dataclasses.replace(
+                item.config,
+                uses_compression=True,
+                technique="selective",
+                code_width=code_width,
+                volume=high - low,
+            ),
         )
-        configs.append(
-            ScheduledCore(
-                config=CoreConfig(
-                    core_name=item.config.core_name,
-                    uses_compression=True,
-                    wrapper_chains=item.config.wrapper_chains,
-                    code_width=code_width,
-                    test_time=item.config.test_time,
-                    volume=share,
-                ),
-                tam_index=item.tam_index,
-                start=item.start,
-                end=item.end,
-            )
-        )
+        for item, low, high in zip(scheduled, cuts, cuts[1:])
+    )
     architecture = TestArchitecture(
         soc_name=soc.name,
         placement=DecompressorPlacement.SOC_LEVEL,
-        tams=tuple(
-            Tam(index=t.index, width=t.width) for t in internal.architecture.tams
-        ),
-        scheduled=tuple(configs),
+        tams=internal.architecture.tams,
+        scheduled=configs,
         ate_channels=ate_channels,
+        ate_cycles=total_codewords,
     )
-    elapsed = _time.perf_counter() - started
-
     return PlanResult(
         soc_name=soc.name,
         width_budget=ate_channels,
         compression="soc-level",
-        architecture=_with_time(architecture, total_codewords),
-        cpu_seconds=elapsed,
+        architecture=architecture,
+        cpu_seconds=_time.perf_counter() - started,
         partitions_evaluated=internal.partitions_evaluated,
         strategy=internal.strategy,
     )
 
-
-class _StretchedArchitecture(TestArchitecture):
-    """Architecture whose reported test time is the ATE codeword count.
-
-    The internal schedule finishes in ``internal_cycles`` scan cycles,
-    but the ATE can feed at most one codeword per cycle, so the test
-    application time is the (larger) codeword count.
-    """
-
-    def __init__(self, base: TestArchitecture, ate_cycles: int):
-        object.__setattr__(self, "soc_name", base.soc_name)
-        object.__setattr__(self, "placement", base.placement)
-        object.__setattr__(self, "tams", base.tams)
-        object.__setattr__(self, "scheduled", base.scheduled)
-        object.__setattr__(self, "ate_channels", base.ate_channels)
-        object.__setattr__(self, "_ate_cycles", ate_cycles)
-
-    @property
-    def test_time(self) -> int:  # type: ignore[override]
-        return max(
-            self._ate_cycles, max((s.end for s in self.scheduled), default=0)
-        )
-
-
-def _with_time(base: TestArchitecture, ate_cycles: int) -> TestArchitecture:
-    return _StretchedArchitecture(base, ate_cycles)

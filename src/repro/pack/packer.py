@@ -215,12 +215,11 @@ def packed_architecture(
     """Materialize a :class:`PackedPlan` as a :class:`TestArchitecture`.
 
     Each rectangle becomes its own single-core TAM of the chosen width
-    (TAM indices follow placement order), so the architecture's
-    existing validation, rendering, export, and model checks all apply.
-    The sum of TAM widths may legitimately exceed ``ate_channels`` --
-    rectangles *time-share* wires -- which is why packed plans are
-    verified with the instantaneous-width sweep instead of the width
-    sum (see :func:`repro.verify.verify_packed`).
+    at its wire offset (TAM indices follow placement order), so the
+    architecture's existing validation, rendering, export, and model
+    checks all apply.  The sum of TAM widths may legitimately exceed
+    ``ate_channels`` -- rectangles *time-share* wires -- so the offsets
+    let the verifier check that no two TAMs busy at once share a wire.
     """
     tams = []
     scheduled = []
@@ -232,7 +231,7 @@ def packed_architecture(
                 f"cycles tall but the {rect.width}-wire config needs "
                 f"{config.test_time}"
             )
-        tams.append(Tam(index=index, width=rect.width))
+        tams.append(Tam(index=index, width=rect.width, offset=rect.x))
         scheduled.append(
             ScheduledCore(
                 config=config,

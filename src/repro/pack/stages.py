@@ -2,17 +2,16 @@
 
 ``PackingArchitectureStage`` generates each core's rectangle family
 from the rows of the cost table the list scheduler reads, packs them, and
-parks the :class:`~repro.pack.packer.PackedPlan` in ``ctx.extras``
-(the plug-in hand-off pattern the constrained and per-TAM flows use).
+hands the :class:`~repro.pack.packer.PackedPlan` on in ``ctx.packed``.
 ``PackingScheduleStage`` materializes it into the ordinary
-:class:`~repro.core.architecture.TestArchitecture`.
+:class:`~repro.core.architecture.TestArchitecture`, one TAM per
+rectangle at the rectangle's wire offset.
 
 The stages register under the names ``("architecture", "packing")``
 and ``("schedule", "packing")`` -- selected via
 ``RunConfig(architecture="packing", schedule="packing")`` or the CLI's
 ``--architecture packing --schedule packing``.  ``ctx.strategy`` is
-recorded as ``packing-<heuristic>``; the verify layer keys its packed
-checks off that prefix.
+recorded as ``packing-<heuristic>``.
 """
 
 from __future__ import annotations
@@ -20,13 +19,7 @@ from __future__ import annotations
 from repro import obs
 from repro.pack.packer import HEURISTICS, pack_rectangles, packed_architecture
 from repro.pack.rects import core_rectangles
-from repro.pipeline.stages import PlanContext, Stage, _require_tables
-
-#: ``ctx.extras`` key carrying the packed plan between the two stages.
-EXTRAS_KEY = "packed_plan"
-
-#: ``ctx.strategy`` prefix marking a packed plan (survives export).
-STRATEGY_PREFIX = "packing"
+from repro.pipeline.stages import PlanContext, Stage, _peak_power, _require_tables
 
 
 class PackingArchitectureStage(Stage):
@@ -72,9 +65,9 @@ class PackingArchitectureStage(Stage):
         obs.inc(
             "architecture.partitions_evaluated", plan.placements_evaluated
         )
-        ctx.extras[EXTRAS_KEY] = plan
+        ctx.packed = plan
         ctx.partitions_evaluated = plan.placements_evaluated
-        ctx.strategy = f"{STRATEGY_PREFIX}-{plan.heuristic}"
+        ctx.strategy = f"packing-{plan.heuristic}"
         ctx.events.emit(
             "search-done",
             self.name,
@@ -91,7 +84,7 @@ class PackingScheduleStage(Stage):
     name = "schedule"
 
     def run(self, ctx: PlanContext) -> None:
-        plan = ctx.extras.get(EXTRAS_KEY)
+        plan = ctx.packed
         if plan is None:
             raise RuntimeError(
                 "PackingScheduleStage needs PackingArchitectureStage to "
@@ -102,6 +95,7 @@ class PackingScheduleStage(Stage):
             ctx.architecture = packed_architecture(
                 plan, tables.config_of, placement=ctx.placement
             )
+        ctx.peak_power = _peak_power(ctx.architecture, ctx.config)
         obs.inc("schedule.cores_scheduled", len(ctx.architecture.scheduled))
         ctx.events.emit(
             "scheduled",

@@ -191,24 +191,30 @@ _FLAVORS = {
     ("constrained", "constrained"): "constrained",
     # Figure 4(b): one decompressor per TAM, shared expanded width.
     ("per-tam", "per-tam"): "per-tam",
+    # Box-uncertainty search, list-scheduled (robust_plan).
+    ("robust", "list"): "robust",
 }
 
 
-def pipeline_for(config: RunConfig) -> Pipeline:
+def pipeline_for(
+    config: RunConfig, *, architecture: Stage | None = None
+) -> Pipeline:
     """The built-in pipeline flavor matching a configuration.
 
     ``config.compression == "per-tam"`` selects the per-TAM flavor, a
     power budget, power table or precedence the constrained one, and
     anything else the standard one.  ``config.architecture`` /
     ``config.schedule`` (when not ``"auto"``) select registered
-    step-3/4 stages explicitly -- the packing flow is
-    ``architecture="packing", schedule="packing"``, and
-    ``architecture="constrained", schedule="constrained"`` is the
-    constrained flavor with no constraint set -- overriding that
-    routing.  The packing, constrained and per-TAM stages are selected
-    in pairs only; any other mix raises ``ValueError``.
-    ``config.verify`` appends the registered verify stage, so the plan
-    is independently re-checked before it leaves the pipeline.
+    step-3/4 stages explicitly, overriding that routing (the packing
+    flow is ``architecture="packing", schedule="packing"``);
+    ``architecture`` stands in for the registry's step-3 stage.
+    ``config.verify`` appends the registered verify stage.
+
+    Refused with ``ValueError`` before anything is planned: a packing,
+    constrained or per-TAM stage selected without its partner, a power
+    budget or precedence outside the constrained pair (every other
+    schedule ignores them), and ``per-tam`` compression outside the
+    per-TAM pair (every other stage reads the per-core tables).
     """
     if config.architecture != "auto" or config.schedule != "auto":
         for name in ("packing", "constrained", "per-tam"):
@@ -228,13 +234,28 @@ def pipeline_for(config: RunConfig) -> Pipeline:
         stages = ("constrained", "constrained")
     else:
         stages = ("partition", "list")
-    flavor = Pipeline.from_registry(*stages, name=_FLAVORS.get(stages))
-    if config.verify:
-        return Pipeline(
-            flavor.stages + (stage_factory("verify", "invariants")(),),
-            name=f"{flavor.name}+verify",
+    name = _FLAVORS.get(stages, "+".join(stages))
+    constrained = config.power_budget is not None or config.precedence
+    if constrained and stages != ("constrained", "constrained"):
+        raise ValueError(
+            f"the {name} flow does not honour a power budget or precedence; "
+            "plan them with the constrained architecture and schedule stages"
         )
-    return flavor
+    if config.compression == "per-tam" and stages != ("per-tam", "per-tam"):
+        raise ValueError(
+            f"compression 'per-tam' needs the per-tam architecture and "
+            f"schedule stages; the {name} flow reads per-core tables"
+        )
+    steps = [
+        WrapperStage(),
+        DecompressorStage(),
+        architecture or stage_factory("architecture", stages[0])(),
+        stage_factory("schedule", stages[1])(),
+    ]
+    if config.verify:
+        steps.append(stage_factory("verify", "invariants")())
+        name += "+verify"
+    return Pipeline(steps, name=name)
 
 
 def plan(

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import abc
 import functools
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro import obs
 from repro.core.architecture import DecompressorPlacement, TestArchitecture
@@ -50,6 +50,8 @@ from repro.core.scheduler import (
 from repro.core.timeline import (
     ConstrainedSchedule,
     constrained_architecture,
+    core_powers,
+    power_steps,
     schedule_constrained,
 )
 from repro.explore.dse import CoreAnalysis
@@ -60,6 +62,9 @@ from repro.pipeline.config import RunConfig
 from repro.pipeline.events import EventRecorder
 from repro.pipeline.tables import LookupTables, SharedWidthTables
 from repro.soc.soc import Soc
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.pack.packer import PackedPlan
 
 
 class PlanContext:
@@ -85,12 +90,12 @@ class PlanContext:
         self.search: PartitionSearchResult | None = None
         self.partitions_evaluated: int = 0
         self.strategy: str = ""
+        #: The packing flow's rectangles, from its architecture stage to
+        #: its schedule stage.
+        self.packed: PackedPlan | None = None
         self.architecture: TestArchitecture | None = None
         self.peak_power: float = 0.0
         self.tam_idle_cycles: int = 0
-        #: Scratch space for stage plug-ins that need to hand data to a
-        #: downstream stage without claiming a dedicated field.
-        self.extras: dict[str, Any] = {}
 
 
 class Stage(abc.ABC):
@@ -307,8 +312,8 @@ def _power_of(ctx: PlanContext) -> Any:
     """The run's power table, worked out once and kept on the context.
 
     The config's own table, else -- when only a budget is set -- the
-    power model's table for the SOC.  :class:`VerifyStage` checks the
-    plan against the same table.
+    power model's table for the SOC: the table
+    :func:`~repro.verify.verify_architecture` checks the plan against.
     """
     config = ctx.config
     if ctx.power_of is None:
@@ -380,7 +385,6 @@ class RobustArchitectureStage(Stage):
         ctx.search = robust.search
         ctx.partitions_evaluated = robust.search.partitions_evaluated
         ctx.strategy = f"robust-{robust.search.strategy}"
-        ctx.extras["robust_plan"] = robust
         ctx.events.emit(
             "search-done",
             self.name,
@@ -407,6 +411,16 @@ def _require_search(ctx: PlanContext, stage: str) -> PartitionSearchResult:
     return ctx.search
 
 
+def _peak_power(architecture: TestArchitecture, config: RunConfig) -> float:
+    """The laid-out plan's peak under the config's power map (0 without)."""
+    if config.power_of is None:
+        return 0.0
+    slots = architecture.scheduled
+    powers = core_powers([s.config.core_name for s in slots], config.power_of)
+    spans = [(s.start, s.end, p) for s, p in zip(slots, powers)]
+    return max(level for _, level in power_steps(spans))
+
+
 #: An outcome to lay out, with its configurations, times and placement.
 _Layout = tuple[ScheduleOutcome, ConfigFn, TimeTable | TimeFn, DecompressorPlacement]
 
@@ -429,6 +443,7 @@ class ScheduleStage(Stage):
                 ate_channels=ctx.width_budget,
                 time_of=times,
             )
+        ctx.peak_power = _peak_power(ctx.architecture, ctx.config)
         obs.inc("schedule.cores_scheduled", len(ctx.architecture.scheduled))
         ctx.events.emit(
             "scheduled",
@@ -446,8 +461,7 @@ class ScheduleStage(Stage):
 class ConstrainedScheduleStage(Stage):
     """Materialize the constrained schedule (may include TAM idle time).
 
-    The search kept only the winning partition; its timeline schedule is
-    rebuilt here and handed to :class:`VerifyStage`.
+    The search kept only the winning partition; its schedule is rebuilt.
     """
 
     name = "schedule"
@@ -456,7 +470,6 @@ class ConstrainedScheduleStage(Stage):
         search = _require_search(ctx, self.name)
         tables = _require_tables(ctx, self.name)
         best = _schedule_constrained(ctx, tables.times, search.widths)
-        ctx.extras["constrained_schedule"] = best
         ctx.architecture = constrained_architecture(
             ctx.soc.name,
             best,
@@ -505,10 +518,11 @@ class VerifyStage(Stage):
     """Re-check the finished plan against the paper's models.
 
     Opt-in via ``RunConfig(verify=True)`` (or ``--verify`` on the CLI);
-    the planning service always appends it.  Runs the independent
-    invariant checker of :mod:`repro.verify` over the materialized
-    architecture -- and, for constrained runs, over the timeline
-    schedule -- and raises
+    the planning service runs the same rules on every result.  Runs
+    :func:`~repro.verify.verify_architecture` over the materialized
+    architecture with the inputs :func:`~repro.verify.verify_plan`
+    takes from the finished result -- its width budget, power budget and
+    stated peak, and the config's power map and precedence -- and raises
     :class:`~repro.verify.invariants.PlanVerificationError` instead of
     letting an invalid plan escape the pipeline.
     """
@@ -517,11 +531,7 @@ class VerifyStage(Stage):
 
     def run(self, ctx: PlanContext) -> None:
         # Imported here: repro.verify depends on this package's config.
-        from repro.verify import (
-            verify_architecture,
-            verify_constrained,
-            verify_packed,
-        )
+        from repro.verify import verify_architecture
 
         config = ctx.config
         if ctx.architecture is None:
@@ -529,49 +539,25 @@ class VerifyStage(Stage):
                 "VerifyStage needs a materialized architecture; run it "
                 "after the schedule stage"
             )
-        packed_plan = ctx.extras.get("packed_plan")
-        reports = [
-            verify_architecture(
-                ctx.architecture,
-                soc=ctx.soc,
-                config=config,
-                analyses=ctx.analyses or None,
-                power_of=ctx.power_of,
-                power_budget=config.power_budget,
-                stated_peak=ctx.peak_power if ctx.power_of is not None else None,
-                precedence=config.precedence,
-                packed=packed_plan is not None,
-            )
-        ]
-        schedule = ctx.extras.get("constrained_schedule")
-        if schedule is not None and ctx.tables is not None:
-            reports.append(
-                verify_constrained(
-                    schedule,
-                    ctx.names,
-                    ctx.tables.time_of,
-                    power_of=ctx.power_of,
-                    power_budget=config.power_budget,
-                    precedence=config.precedence,
-                )
-            )
-        if packed_plan is not None and ctx.tables is not None:
-            reports.append(
-                verify_packed(packed_plan, ctx.names, ctx.tables.time_of)
-            )
-        violations = sum(len(r.violations) for r in reports)
+        report = verify_architecture(
+            ctx.architecture,
+            soc=ctx.soc,
+            config=config,
+            analyses=ctx.analyses or None,
+            width_budget=ctx.width_budget,
+            power_budget=config.power_budget,
+            stated_peak=ctx.peak_power,
+        )
         obs.inc("verify.runs")
-        if violations:
-            obs.inc("verify.violations", violations)
-        ctx.extras["verification"] = tuple(reports)
+        if report.violations:
+            obs.inc("verify.violations", len(report.violations))
         ctx.events.emit(
             "verified",
             self.name,
-            checks=sum(len(r.checks) for r in reports),
-            violations=violations,
+            checks=len(report.checks),
+            violations=len(report.violations),
         )
-        for report in reports:
-            report.raise_if_violations()
+        report.raise_if_violations()
 
 
 # ---------------------------------------------------------------------------

@@ -44,15 +44,20 @@ def architecture_to_dict(
     scheduled: Any = architecture.scheduled
     if sort_schedule:
         scheduled = sorted(scheduled, key=lambda s: (s.tam_index, s.start))
+    # Keys a plan leaves unset are not written: older exports still match.
+    extra = {"ate_cycles": architecture.ate_cycles} if architecture.ate_cycles else {}
     return {
         "schema": SCHEMA_VERSION,
         "soc": architecture.soc_name,
         "placement": architecture.placement.value,
         "ate_channels": architecture.ate_channels,
+        **extra,
         "test_time": architecture.test_time,
         "test_data_volume": architecture.test_data_volume,
         "tams": [
-            {"index": t.index, "width": t.width} for t in architecture.tams
+            {"index": t.index, "width": t.width}
+            | ({} if t.offset is None else {"offset": t.offset})
+            for t in architecture.tams
         ],
         "schedule": [
             {
@@ -109,7 +114,10 @@ def architecture_from_dict(data: dict[str, Any]) -> TestArchitecture:
         raise ValueError(
             f"unsupported schema {schema!r} (this build reads {SCHEMA_VERSION})"
         )
-    tams = tuple(Tam(index=t["index"], width=t["width"]) for t in data["tams"])
+    tams = tuple(
+        Tam(index=t["index"], width=t["width"], offset=t.get("offset"))
+        for t in data["tams"]
+    )
     scheduled = []
     for entry in data["schedule"]:
         config = CoreConfig(
@@ -135,6 +143,7 @@ def architecture_from_dict(data: dict[str, Any]) -> TestArchitecture:
         tams=tams,
         scheduled=tuple(scheduled),
         ate_channels=data["ate_channels"],
+        ate_cycles=data.get("ate_cycles", 0),
     )
 
 

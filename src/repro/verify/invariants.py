@@ -27,9 +27,10 @@ the report's ``checks`` tuple records exactly what ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence, TYPE_CHECKING
 
+from repro.compression.selective import code_parameters
 from repro.core.architecture import DecompressorPlacement, TestArchitecture
 from repro.core.timeline import ConstrainedSchedule, Segment
 from repro.soc.soc import Soc
@@ -39,10 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pack.packer import PackedPlan
     from repro.pipeline.config import RunConfig
     from repro.pipeline.result import PlanResult
-
-#: ``PlanResult.strategy`` prefix marking a rectangle-packed plan;
-#: survives JSON export, so re-imported plans verify correctly too.
-PACKED_STRATEGY_PREFIX = "packing"
 
 #: Signature shared with the schedulers: (core name, tam width) -> cycles.
 TimeFn = Callable[[str, int], int]
@@ -147,12 +144,18 @@ class _Collector:
 
 @dataclass(frozen=True)
 class _Slot:
-    """Normalized view of one scheduled interval, any plan shape."""
+    """Normalized view of one scheduled interval, any plan shape.
+
+    ``x`` and ``width`` place it on the ATE wires ``[x, x + width)``
+    where the plan time-shares them.
+    """
 
     name: str
     tam: int
     start: int
     end: int
+    x: int = 0
+    width: int = 0
 
 
 def _check_tam_overlap(out: _Collector, slots: Sequence[_Slot]) -> None:
@@ -190,26 +193,100 @@ def _peak_power(
     return peak
 
 
-def _instant_peak_width(
-    slots: Iterable[_Slot], widths: Mapping[int, int]
+def _check_wires(
+    out: _Collector,
+    slots: Sequence[_Slot],
+    channels: int,
+    *,
+    bounds: str,
+    overlap: str,
 ) -> int:
-    """Sweep-line peak of the instantaneous occupied TAM width.
+    """Every slot's wires inside ``[0, channels)``; none busy twice at once.
 
-    Flexible-width (packed) plans time-share the ATE interface: the sum
-    of TAM widths may legitimately exceed the channel budget as long as
-    the widths *active at any one instant* fit.  The peak over all slot
-    starts is the exact maximum (the active set only changes there).
+    Returns the peak occupied width.  The busy set only changes at a
+    slot's start, so probing every start is exact, and x-sorted
+    neighbours suffice: any overlap makes some neighbours overlap.
     """
-    spans = [
-        (s.start, s.end, int(widths.get(s.tam, 0)))
-        for s in slots
-        if s.end > s.start
-    ]
+    out.ran(bounds)
+    out.ran(overlap)
+    for slot in slots:
+        if slot.x < 0 or slot.x + slot.width > channels:
+            out.fail(
+                bounds,
+                f"wires [{slot.x}, {slot.x + slot.width}) fall outside the "
+                f"{channels} ATE channels",
+                core=slot.name,
+            )
+    live = [slot for slot in slots if slot.end > slot.start]
     peak = 0
-    for t, _, _ in spans:
-        level = sum(w for s, e, w in spans if s <= t < e)
-        peak = max(peak, level)
+    for t in sorted({slot.start for slot in live}):
+        active = sorted(
+            (slot for slot in live if slot.start <= t < slot.end),
+            key=lambda slot: (slot.x, slot.name),
+        )
+        for a, b in zip(active, active[1:]):
+            if b.x < a.x + a.width:
+                out.fail(
+                    overlap,
+                    f"{a.name} wires [{a.x}, {a.x + a.width}) and {b.name} "
+                    f"wires [{b.x}, {b.x + b.width}) are both busy at time {t}",
+                    core=b.name,
+                )
+        peak = max(peak, sum(slot.width for slot in active))
     return peak
+
+
+def _check_width_budget(
+    out: _Collector, architecture: TestArchitecture, slots: Sequence[_Slot]
+) -> None:
+    """The ATE wires the plan's geometry needs fit its channels.
+
+    TAMs with wire offsets time-share the channels: each lies inside
+    them, and no two busy at once share a wire.  A TAM without one owns
+    its wires for the whole test, at a cost in channels that follows
+    the decompressor placement.
+    """
+    out.ran("width-budget")
+    channels = architecture.ate_channels
+    tams = architecture.tams
+    offsets = {t.index: t.offset for t in tams if t.offset is not None}
+    if offsets:
+        if len(offsets) < len(tams):
+            out.fail(
+                "width-budget",
+                f"{len(offsets)} of {len(tams)} TAMs carry a wire offset; "
+                "a plan places all of its TAMs on wires or none",
+            )
+            return
+        width_of = {t.index: t.width for t in tams}
+        placed = [
+            replace(s, x=offsets[s.tam], width=width_of[s.tam])
+            for s in slots
+            if s.tam in offsets
+        ]
+        _check_wires(
+            out, placed, channels, bounds="width-budget", overlap="wire-overlap"
+        )
+        return
+    widths = [t.width for t in tams]
+    if architecture.placement is DecompressorPlacement.PER_TAM:
+        # The TAMs are expanded buses; the ATE feeds each TAM's
+        # decompressor its code width.
+        need = sum(code_parameters(w)[1] for w in widths)
+        what = "the TAM decompressors' code widths sum to"
+    elif architecture.placement is DecompressorPlacement.SOC_LEVEL:
+        need = _chip_code_width(architecture)
+        what = "the chip decompressor's code width is"
+    else:
+        need = sum(widths)
+        what = "TAM widths sum to"
+    if need > channels:
+        out.fail("width-budget", f"{what} {need} > {channels} ATE channels")
+
+
+def _chip_code_width(architecture: TestArchitecture) -> int:
+    """Code width of one decompressor expanding into every TAM's wires."""
+    return code_parameters(max(1, architecture.total_tam_width))[1]
 
 
 def _check_power(
@@ -349,11 +426,15 @@ def _check_core_models(
     architecture: TestArchitecture,
     analyses: Mapping[str, "CoreAnalysis"],
 ) -> None:
-    """Per-core test time and volume must match the technique's model."""
+    """Per-core test time and volume must match the technique's model.
+
+    Behind a chip-level decompressor each core is a plain wrapper, and
+    only the stream's total volume is modelled (:func:`_check_chip_stream`).
+    """
     out.ran("time-model")
     out.ran("volume-model")
     widths = {t.index: t.width for t in architecture.tams}
-    recomputed_total = 0
+    chip = architecture.placement is DecompressorPlacement.SOC_LEVEL
     for item in architecture.scheduled:
         cfg = item.config
         analysis = analyses.get(cfg.core_name)
@@ -364,7 +445,7 @@ def _check_core_models(
                 core=cfg.core_name,
             )
             continue
-        if cfg.technique == "none":
+        if chip or cfg.technique == "none":
             # The planners account an uncompressed core at the full TAM
             # width (padded chains stream idle bits), while the stored
             # chain count is clamped to the core's useful maximum --
@@ -414,6 +495,8 @@ def _check_core_models(
                 f"({cfg.technique}, m={cfg.wrapper_chains})",
                 core=cfg.core_name,
             )
+        if chip:
+            continue
         matching = [v for t, v in expected if t == cfg.test_time]
         volumes = matching or [v for _, v in expected]
         if cfg.volume not in volumes:
@@ -424,7 +507,6 @@ def _check_core_models(
                 f"({cfg.technique}, m={cfg.wrapper_chains})",
                 core=cfg.core_name,
             )
-        recomputed_total += cfg.volume
     out.ran("volume-conservation")
     if architecture.test_data_volume != sum(
         s.config.volume for s in architecture.scheduled
@@ -432,6 +514,44 @@ def _check_core_models(
         out.fail(
             "volume-conservation",
             "architecture volume differs from the sum of its parts",
+        )
+
+
+def _check_chip_stream(out: _Collector, architecture: TestArchitecture) -> None:
+    """A chip-level decompressor's one code and its ATE stream.
+
+    Every config carries the chip's code width, and the volumes sum to
+    ``ate_cycles`` codewords of that width.  No other placement feeds
+    the ATE for longer than the schedule, so none has ``ate_cycles``.
+    """
+    out.ran("placement-consistency")
+    if architecture.placement is not DecompressorPlacement.SOC_LEVEL:
+        if architecture.ate_cycles:
+            out.fail(
+                "placement-consistency",
+                f"{architecture.ate_cycles} ATE cycles stated without a "
+                "chip-level decompressor",
+            )
+        return
+    out.ran("code-width")
+    out.ran("volume-model")
+    code_width = _chip_code_width(architecture)
+    for item in architecture.scheduled:
+        if item.config.code_width != code_width:
+            out.fail(
+                "code-width",
+                f"stored code width {item.config.code_width} != the chip "
+                f"decompressor's {code_width} for "
+                f"{architecture.total_tam_width} internal TAM wires",
+                core=item.config.core_name,
+            )
+    stream = architecture.ate_cycles * code_width
+    if architecture.test_data_volume != stream:
+        out.fail(
+            "volume-model",
+            f"volumes sum to {architecture.test_data_volume} != "
+            f"{architecture.ate_cycles} ATE cycles x {code_width}-bit codewords "
+            f"= {stream}",
         )
 
 
@@ -465,35 +585,27 @@ def _check_width_fit(
                 core=cfg.core_name,
                 tam=item.tam_index,
             )
-        if cfg.uses_compression and placement is not DecompressorPlacement.NONE:
-            # The TAM carries code bits; the decompressor fans them out to
-            # the wrapper chains.  Under per-TAM placement the stored TAM
-            # width is the *expanded* bus, so the wrapper chains must fit.
-            if placement is DecompressorPlacement.PER_TAM:
-                if cfg.wrapper_chains > width:
-                    out.fail(
-                        "wrapper-fit",
-                        f"{cfg.wrapper_chains} wrapper chains exceed the "
-                        f"{width}-bit expanded TAM",
-                        core=cfg.core_name,
-                        tam=item.tam_index,
-                    )
-            elif cfg.code_width is not None and cfg.code_width > width:
+        # A per-core decompressor fans the TAM's code bits out to the
+        # chains; any other TAM carries a bit per chain (plain scan, or
+        # the bus a per-TAM or chip-level decompressor expanded).
+        chip = placement is DecompressorPlacement.SOC_LEVEL
+        if cfg.uses_compression and placement is DecompressorPlacement.PER_CORE:
+            if cfg.code_width is not None and cfg.code_width > width:
                 out.fail(
                     "wrapper-fit",
                     f"code width {cfg.code_width} exceeds TAM width {width}",
                     core=cfg.core_name,
                     tam=item.tam_index,
                 )
-        elif not cfg.uses_compression and cfg.wrapper_chains > width:
+        elif cfg.wrapper_chains > width:
             out.fail(
                 "wrapper-fit",
-                f"{cfg.wrapper_chains} wrapper chains exceed TAM width "
-                f"{width}",
+                f"{cfg.wrapper_chains} wrapper chains exceed the {width}-bit "
+                "TAM",
                 core=cfg.core_name,
                 tam=item.tam_index,
             )
-        if not cfg.uses_compression and analyses is not None:
+        if (chip or not cfg.uses_compression) and analyses is not None:
             analysis = analyses.get(cfg.core_name)
             if (
                 analysis is not None
@@ -534,19 +646,45 @@ def _resolve_analyses(
     }
 
 
-def _verify_architecture_into(
-    out: _Collector,
+def verify_architecture(
     architecture: TestArchitecture,
     *,
-    soc: Soc | None,
-    config: "RunConfig | None",
-    analyses: Mapping[str, "CoreAnalysis"] | None,
-    power_of: Mapping[str, float] | None,
-    power_budget: float | None,
-    stated_peak: float | None,
-    precedence: Sequence[tuple[str, str]],
-    packed: bool = False,
-) -> None:
+    soc: Soc | None = None,
+    config: "RunConfig | None" = None,
+    analyses: Mapping[str, "CoreAnalysis"] | None = None,
+    width_budget: int | None = None,
+    power_of: Mapping[str, float] | None = None,
+    power_budget: float | None = None,
+    stated_peak: float | None = None,
+    precedence: Sequence[tuple[str, str]] | None = None,
+) -> VerificationReport:
+    """Independently re-check a :class:`TestArchitecture`.
+
+    Structural invariants (TAM indices, slot bounds, same-TAM overlap,
+    width budget, the chip-level stream) always run and read only the
+    plan's own fields: the width rule follows the plan's geometry --
+    wire offsets where its TAMs time-share the channels, else the
+    decompressor placement -- never a strategy label.  Model invariants
+    (per-core time/volume, wrapper fit against the core) additionally
+    need ``soc`` (and use ``config``'s analysis knobs, or explicit
+    ``analyses``).
+
+    ``width_budget`` is the channel count the plan was asked for and
+    must equal ``ate_channels``.  ``power_of``, ``power_budget`` and
+    ``precedence`` default to the config's; with a budget and no map,
+    the planner's default :func:`repro.power.model.power_table` applies.
+    The power checks run when a map is known: the recomputed peak
+    against ``power_budget`` and against ``stated_peak``.
+    """
+    out = _Collector()
+    if width_budget is not None:
+        out.ran("budget-consistency")
+        if width_budget != architecture.ate_channels:
+            out.fail(
+                "budget-consistency",
+                f"result records width budget {width_budget} but the "
+                f"architecture has {architecture.ate_channels} ATE channels",
+            )
     out.ran("tam-index")
     indices = [t.index for t in architecture.tams]
     if len(set(indices)) != len(indices):
@@ -576,30 +714,8 @@ def _verify_architecture_into(
             )
         slots.append(_Slot(name, item.tam_index, item.start, item.end))
     _check_tam_overlap(out, slots)
-
-    out.ran("width-budget")
-    if packed:
-        # Packed plans time-share the ATE wires: one single-core TAM per
-        # rectangle, so the width *sum* may exceed the budget while the
-        # instantaneous occupied width never may.
-        widths = {t.index: t.width for t in architecture.tams}
-        peak_width = _instant_peak_width(slots, widths)
-        if peak_width > architecture.ate_channels:
-            out.fail(
-                "width-budget",
-                f"instantaneous occupied width {peak_width} > "
-                f"{architecture.ate_channels} ATE channels",
-            )
-    elif architecture.placement is not DecompressorPlacement.PER_TAM:
-        # Per-TAM stores post-expansion widths, which legitimately exceed
-        # the ATE channel budget; all other placements pay wire-for-wire.
-        total = architecture.total_tam_width
-        if total > architecture.ate_channels:
-            out.fail(
-                "width-budget",
-                f"TAM widths sum to {total} > {architecture.ate_channels} "
-                f"ATE channels",
-            )
+    _check_width_budget(out, architecture, slots)
+    _check_chip_stream(out, architecture)
 
     resolved = _resolve_analyses(soc, config, analyses)
     if soc is not None:
@@ -607,56 +723,24 @@ def _verify_architecture_into(
             out, [s.config.core_name for s in architecture.scheduled],
             soc.core_names,
         )
+    _check_width_fit(out, architecture, resolved)
     if resolved is not None:
-        _check_width_fit(out, architecture, resolved)
         _check_core_models(out, architecture, resolved)
-    else:
-        _check_width_fit(out, architecture, None)
 
+    if config is not None:
+        power_of = power_of if power_of is not None else config.power_of
+        if power_budget is None:
+            power_budget = config.power_budget
+        if precedence is None:
+            precedence = config.precedence
+    if power_of is None and power_budget is not None and soc is not None:
+        from repro.power.model import power_table
+
+        compressed = architecture.placement is not DecompressorPlacement.NONE
+        power_of = power_table(soc, compression=compressed)
     if power_of is not None:
         _check_power(out, slots, power_of, power_budget, stated_peak)
-    _check_precedence(out, slots, precedence)
-
-
-def verify_architecture(
-    architecture: TestArchitecture,
-    *,
-    soc: Soc | None = None,
-    config: "RunConfig | None" = None,
-    analyses: Mapping[str, "CoreAnalysis"] | None = None,
-    power_of: Mapping[str, float] | None = None,
-    power_budget: float | None = None,
-    stated_peak: float | None = None,
-    precedence: Sequence[tuple[str, str]] = (),
-    packed: bool = False,
-) -> VerificationReport:
-    """Independently re-check a :class:`TestArchitecture`.
-
-    Structural invariants (TAM indices, slot bounds, same-TAM overlap,
-    width budget) always run.  Model invariants (per-core time/volume,
-    wrapper fit against the core) additionally need ``soc`` (and use
-    ``config``'s analysis knobs, or explicit ``analyses``).  Power checks
-    need ``power_of``; precedence checks need ``precedence``.
-
-    ``packed`` marks a flexible-width (rectangle-packed) plan: the
-    width-budget check then bounds the *instantaneous* occupied width by
-    a sweep instead of the width sum (see :func:`verify_packed` for the
-    full 2D geometry check, which needs the original
-    :class:`~repro.pack.packer.PackedPlan`).
-    """
-    out = _Collector()
-    _verify_architecture_into(
-        out,
-        architecture,
-        soc=soc,
-        config=config,
-        analyses=analyses,
-        power_of=power_of,
-        power_budget=power_budget,
-        stated_peak=stated_peak,
-        precedence=tuple(precedence),
-        packed=packed,
-    )
+    _check_precedence(out, slots, precedence or ())
     return out.report(f"architecture:{architecture.soc_name}")
 
 
@@ -671,56 +755,24 @@ def verify_plan(
 ) -> VerificationReport:
     """Verify a :class:`PlanResult` from any delivery path.
 
-    Beyond :func:`verify_architecture` this checks the result's own
-    bookkeeping: the recorded width budget matches the architecture, and
-    -- for constrained runs -- the recorded peak power matches a
-    sweep-line recomputation and respects the recorded budget.  When the
-    plan is power-constrained but no ``power_of`` map is given, the
-    default :func:`repro.power.model.power_table` model is assumed (the
-    same default the pipeline uses).
-
-    A strategy starting with ``"packing"`` (see
-    :data:`PACKED_STRATEGY_PREFIX`) switches the width-budget check to
-    the packed (instantaneous-width) form, so re-imported packed plans
-    verify without the original packer state.
+    :func:`verify_architecture` over the result's architecture with the
+    result's own bookkeeping as inputs: its width budget, its power
+    budget (else the config's) and its stated peak power.  These are the
+    inputs the pipeline's verify stage passes, so a plan re-imported
+    from its export gets the same checks as it did in process.
     """
-    out = _Collector()
-    architecture = result.architecture
-
-    out.ran("budget-consistency")
-    if result.width_budget != architecture.ate_channels:
-        out.fail(
-            "budget-consistency",
-            f"result records width budget {result.width_budget} but the "
-            f"architecture has {architecture.ate_channels} ATE channels",
-        )
-
-    budget = result.power_budget
-    if power_of is None and config is not None:
-        power_of = config.power_of
-    if budget is None and config is not None:
-        budget = config.power_budget
-    if power_of is None and budget is not None and soc is not None:
-        from repro.power.model import power_table
-
-        power_of = power_table(soc, compression=result.compression != "none")
-    if precedence is None:
-        precedence = config.precedence if config is not None else ()
-    stated_peak = result.peak_power if power_of is not None else None
-
-    _verify_architecture_into(
-        out,
-        architecture,
+    report = verify_architecture(
+        result.architecture,
         soc=soc,
         config=config,
         analyses=analyses,
+        width_budget=result.width_budget,
         power_of=power_of,
-        power_budget=budget,
-        stated_peak=stated_peak,
-        precedence=tuple(precedence),
-        packed=result.strategy.startswith(PACKED_STRATEGY_PREFIX),
+        power_budget=result.power_budget,
+        stated_peak=result.peak_power,
+        precedence=precedence,
     )
-    return out.report(f"plan:{result.soc_name}")
+    return replace(report, subject=f"plan:{result.soc_name}")
 
 
 def verify_packed(
@@ -734,9 +786,9 @@ def verify_packed(
 
     * ``rect-bounds`` -- every rectangle lies inside the
       ``width_budget``-wide strip and starts at time >= 0;
-    * ``rect-overlap`` -- no two rectangles overlap in 2D (sweep over
-      start times; at each instant the active rectangles, sorted by x,
-      must be pairwise disjoint);
+    * ``rect-overlap`` -- no two rectangles overlap in 2D: no wire is
+      busy twice at one instant (the wire check
+      :func:`verify_architecture` runs on a packed plan's TAM offsets);
     * ``channel-budget`` -- the instantaneous occupied width never
       exceeds the budget at any instant;
     * ``width-support`` -- each core runs at a width its wrapper table
@@ -746,16 +798,8 @@ def verify_packed(
     * ``makespan`` -- the stated makespan equals the last finish.
     """
     out = _Collector()
-    out.ran("rect-bounds")
     out.ran("width-support")
     for rect in plan.rects:
-        if rect.x < 0 or rect.x + rect.width > plan.width_budget:
-            out.fail(
-                "rect-bounds",
-                f"rectangle x=[{rect.x}, {rect.x + rect.width}) falls "
-                f"outside the {plan.width_budget}-wide strip",
-                core=rect.name,
-            )
         if rect.start < 0:
             out.fail(
                 "rect-bounds",
@@ -771,31 +815,23 @@ def verify_packed(
                 core=rect.name,
             )
     _check_membership(out, [rect.name for rect in plan.rects], core_names)
-
-    out.ran("rect-overlap")
+    peak = _check_wires(
+        out,
+        [
+            _Slot(r.name, i, r.start, r.end, r.x, r.width)
+            for i, r in enumerate(plan.rects)
+        ],
+        plan.width_budget,
+        bounds="rect-bounds",
+        overlap="rect-overlap",
+    )
     out.ran("channel-budget")
-    live = [rect for rect in plan.rects if rect.end > rect.start]
-    for probe in live:
-        t = probe.start
-        active = sorted(
-            (rect for rect in live if rect.start <= t < rect.end),
-            key=lambda rect: (rect.x, rect.name),
+    if peak > plan.width_budget:
+        out.fail(
+            "channel-budget",
+            f"instantaneous occupied width {peak} > "
+            f"{plan.width_budget} ATE channels",
         )
-        for a, b in zip(active, active[1:]):
-            if b.x < a.x + a.width:
-                out.fail(
-                    "rect-overlap",
-                    f"{a.name} x=[{a.x}, {a.x + a.width}) overlaps "
-                    f"{b.name} x=[{b.x}, {b.x + b.width}) at time {t}",
-                    core=b.name,
-                )
-        occupied = sum(rect.width for rect in active)
-        if occupied > plan.width_budget:
-            out.fail(
-                "channel-budget",
-                f"instantaneous occupied width {occupied} > "
-                f"{plan.width_budget} ATE channels at time {t}",
-            )
 
     out.ran("makespan")
     actual = max((rect.end for rect in plan.rects), default=0)

@@ -9,8 +9,8 @@ from repro.core.architecture import (
     Tam,
     TestArchitecture,
     architecture_summary,
-    validate_width_budget,
 )
+from repro.verify import verify_architecture
 
 
 def _config(name, time=10, volume=100, compressed=False):
@@ -147,9 +147,22 @@ class TestRendering:
 
 
 class TestWidthBudget:
+    """The one width rule is the verifier's (fixed TAMs: the width sum)."""
+
+    @staticmethod
+    def _two_tams(widths, channels):
+        return TestArchitecture(
+            soc_name="x",
+            placement=DecompressorPlacement.NONE,
+            tams=tuple(Tam(i, w) for i, w in enumerate(widths)),
+            scheduled=(),
+            ate_channels=channels,
+        )
+
     def test_within_budget(self):
-        validate_width_budget([Tam(0, 3), Tam(1, 2)], 5)
+        assert verify_architecture(self._two_tams((3, 2), 5)).ok
 
     def test_exceeded(self):
-        with pytest.raises(ValueError, match="budget exceeded"):
-            validate_width_budget([Tam(0, 4), Tam(1, 2)], 5)
+        report = verify_architecture(self._two_tams((4, 2), 5))
+        assert [v.code for v in report.violations] == ["width-budget"]
+        assert "TAM widths sum to 6 > 5" in report.violations[0].message

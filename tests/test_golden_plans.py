@@ -19,8 +19,11 @@ Two more sections pin what a plan fingerprint does not reach:
   ``tests/test_search_differential.py``.
 
 There is one test per design, so each design's analyses are built once
-and shared by all of its cases.  Regenerate the file (only when plans
-are meant to change) with::
+and shared by all of its cases.  The ``packing@16/32`` exports carry
+each TAM's wire offset; :data:`PACKING_WITHOUT_OFFSETS` keeps their
+fingerprints from before they did, which they still hash to with the
+``offset`` keys removed.  Regenerate the file (only when plans are meant
+to change) with::
 
     PYTHONPATH=src python tests/test_golden_plans.py
 """
@@ -54,15 +57,51 @@ DESIGNS = CATALOGUE + ("synth100",)
 SEARCH_SEEDS = 24
 
 
+#: ``packing@16/32`` fingerprints of the exports before they carried TAM
+#: wire offsets: the packed plans themselves are unchanged.
+PACKING_WITHOUT_OFFSETS = {
+    "d695": (
+        "880d217130bf10e9fabfee1e8a62c10bf4201056f1d0fb05b0cf1ba37389520e",
+        "06deb42312baa6515ff15ab13a4bea6bbb6e616010c197bad1fa7cd8aa564a9c",
+    ),
+    "d2758": (
+        "fd21ef5799a2e439ba56b02c20940c6c85a9b33a19d406121adfa844149f194d",
+        "35c941bdd1cca8ee7fa18de29e07408917a0169b7e83a6016cf9279e8591f679",
+    ),
+    "System1": (
+        "980d10f7f82519b1263195e17f6179947f2813a91a88940470b3ab9e67597f40",
+        "84f41f27bf466e089ba2e85e20f7ce26647b15124573606a2d2cf97289cc8807",
+    ),
+    "System2": (
+        "734b04a9ad4e491ddfec07be1f253718a53024146ab513d4c9011ef5c9265305",
+        "07b4edfc4bb6c283842f2d69a19cc035a74865a671b7bda4056bdceaab34cc06",
+    ),
+    "System3": (
+        "1c18aed423efa7018ebf411ca7131bbf01da811213c0d22927386155707fe53a",
+        "5f3887127b8085ae1d107663166a1ef0b2687c0f910fc6bc97122c4f891d17ba",
+    ),
+    "System4": (
+        "6d3180cf89b647f50ab3d4cc4e14ee0818394352ba9bc4e8c6a7522371e23b54",
+        "1ac439d37ef66b7ed3b498e387344cbf565886d3d564ed0e2129165e95c4c7da",
+    ),
+}
+
+
 def _digest(payload: Any) -> str:
     return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
 
 
-def fingerprint(result: PlanResult) -> str:
-    """sha256 of the exported result without its timing fields."""
+def fingerprint(result: PlanResult, *, offsets: bool = True) -> str:
+    """sha256 of the exported result without its timing fields.
+
+    ``offsets=False`` also drops the TAMs' wire offsets.
+    """
     payload = json.loads(result_to_json(result))
     del payload["optimizer"]["cpu_seconds"]
     del payload["optimizer"]["stage_timings"]
+    if not offsets:
+        for tam in payload["tams"]:
+            tam.pop("offset", None)
     return _digest(payload)
 
 
@@ -310,9 +349,15 @@ def assert_table(golden_table: dict[str, str], actual: dict[str, str], what: str
 @pytest.mark.parametrize("design", DESIGNS)
 def test_golden_plans(design):
     table = golden()
-    assert_table(table[design], fingerprints(design), design)
+    plans = dict(cases(design))
+    actual = {key: fingerprint(result) for key, result in plans.items()}
+    assert_table(table[design], actual, design)
     if design not in CATALOGUE:
         return
+    packed = tuple(
+        fingerprint(plans[f"packing@{width}"], offsets=False) for width in (16, 32)
+    )
+    assert packed == PACKING_WITHOUT_OFFSETS[design], f"{design} packing"
     schedules = dict(preemptive_cases(design))
     actual = {key: preemptive_fingerprint(s) for key, s in schedules.items()}
     assert_table(table["preemptive"][design], actual, f"{design} preemptive")

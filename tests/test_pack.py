@@ -344,54 +344,55 @@ class TestVerifyPacked:
         report = verify_packed(self.plan(), ["a", "b", "c", "d"], self.times)
         assert any(v.code == "core-membership" for v in report.violations)
 
+    @staticmethod
+    def two_tams(
+        channels: int, b_start: int, offsets: tuple[int | None, int | None]
+    ) -> TestArchitecture:
+        """Cores a [0, 10) and b [b_start, b_start + 5) on 2-wire TAMs."""
+        return TestArchitecture(
+            soc_name="toy",
+            placement=DecompressorPlacement.NONE,
+            tams=tuple(
+                Tam(index=i, width=2, offset=offset)
+                for i, offset in enumerate(offsets)
+            ),
+            scheduled=(
+                ScheduledCore(
+                    config=config_for("a", 2, 10), tam_index=0, start=0, end=10
+                ),
+                ScheduledCore(
+                    config=config_for("b", 2, 5),
+                    tam_index=1,
+                    start=b_start,
+                    end=b_start + 5,
+                ),
+            ),
+            ate_channels=channels,
+        )
+
     def test_packed_width_budget_is_instantaneous(self):
         """Sum of TAM widths over budget is fine if time-shared."""
-        arch = TestArchitecture(
-            soc_name="toy",
-            placement=DecompressorPlacement.NONE,
-            tams=(Tam(index=0, width=2), Tam(index=1, width=2)),
-            scheduled=(
-                ScheduledCore(
-                    config=config_for("a", 2, 10),
-                    tam_index=0,
-                    start=0,
-                    end=10,
-                ),
-                ScheduledCore(
-                    config=config_for("b", 2, 5),
-                    tam_index=1,
-                    start=10,
-                    end=15,
-                ),
-            ),
-            ate_channels=2,
-        )
-        assert not verify_architecture(arch).ok  # fixed rule: 4 > 2
-        assert verify_architecture(arch, packed=True).ok
+        assert not verify_architecture(self.two_tams(2, 10, (None, None))).ok
+        report = verify_architecture(self.two_tams(2, 10, (0, 0)))
+        assert report.ok, report.summary()
+        assert "wire-overlap" in report.checks
 
     def test_packed_width_budget_catches_concurrent_overflow(self):
-        arch = TestArchitecture(
-            soc_name="toy",
-            placement=DecompressorPlacement.NONE,
-            tams=(Tam(index=0, width=2), Tam(index=1, width=2)),
-            scheduled=(
-                ScheduledCore(
-                    config=config_for("a", 2, 10),
-                    tam_index=0,
-                    start=0,
-                    end=10,
-                ),
-                ScheduledCore(
-                    config=config_for("b", 2, 5),
-                    tam_index=1,
-                    start=5,
-                    end=10,
-                ),
-            ),
-            ate_channels=3,
-        )
-        report = verify_architecture(arch, packed=True)
-        assert any(v.code == "width-budget" for v in report.violations)
+        # Two 2-wire tests at once on 3 channels: placed apart, one
+        # falls off the channels ...
+        report = verify_architecture(self.two_tams(3, 5, (0, 2)))
+        assert [v.code for v in report.violations] == ["width-budget"]
+
+    def test_concurrent_tams_sharing_a_wire_rejected(self):
+        # ... and placed inside them, the two share a wire.
+        report = verify_architecture(self.two_tams(3, 5, (0, 1)))
+        assert [v.code for v in report.violations] == ["wire-overlap"]
+        # One after the other they may share it.
+        assert verify_architecture(self.two_tams(3, 10, (0, 1))).ok
+
+    def test_offsets_on_only_some_tams_rejected(self):
+        report = verify_architecture(self.two_tams(4, 5, (0, None)))
+        assert [v.code for v in report.violations] == ["width-budget"]
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +452,9 @@ class TestPackingPipeline:
         result = plan(soc, 8, config)
         back = result_from_json(result_to_json(result))
         assert back.strategy == result.strategy
-        # The serve gate path: verify the re-imported plan (packed
-        # width rule engages off the strategy prefix alone).
+        assert back.architecture == result.architecture
+        # The serve gate path: verify the re-imported plan (the wire
+        # rule engages off the exported TAM offsets).
         report = verify_plan(back, soc, config=config)
         assert report.ok, report.summary()
 
