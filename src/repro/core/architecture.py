@@ -140,7 +140,14 @@ class TestArchitecture:
 
     @property
     def total_tam_width(self) -> int:
-        """Sum of on-chip TAM wire widths (Figure 4's wire-cost metric)."""
+        """On-chip TAM wires (Figure 4's wire-cost metric).
+
+        The sum of the TAM widths, unless every TAM has an ``offset``:
+        such TAMs time-share wires, and the plan occupies channels up to
+        the largest ``offset + width``.
+        """
+        if self.tams and all(t.offset is not None for t in self.tams):
+            return max(t.offset + t.width for t in self.tams)
         return sum(t.width for t in self.tams)
 
     @property

@@ -33,7 +33,6 @@ queue, exit 0.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 from typing import Any, Callable
@@ -45,6 +44,7 @@ from repro.serve.jobs import JobState
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     PlanRequest,
+    RawJSON,
     decode_message,
     encode_message,
     error_response,
@@ -287,9 +287,7 @@ class ServiceServer:
                     **job_brief(job),
                 )
         if job.state is JobState.DONE and job.result_json is not None:
-            return ok_response(
-                result=json.loads(job.result_json), **job_brief(job)
-            )
+            return ok_response(result=RawJSON(job.result_frame()), **job_brief(job))
         if job.state.terminal:
             return error_response(
                 job.error_code or "job-failed",

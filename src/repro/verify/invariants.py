@@ -286,7 +286,12 @@ def _check_width_budget(
 
 def _chip_code_width(architecture: TestArchitecture) -> int:
     """Code width of one decompressor expanding into every TAM's wires."""
-    return code_parameters(max(1, architecture.total_tam_width))[1]
+    return code_parameters(max(1, _tam_wires(architecture)))[1]
+
+
+def _tam_wires(architecture: TestArchitecture) -> int:
+    """Internal TAM wires a chip-level decompressor feeds: the width sum."""
+    return sum(t.width for t in architecture.tams)
 
 
 def _check_power(
@@ -542,7 +547,7 @@ def _check_chip_stream(out: _Collector, architecture: TestArchitecture) -> None:
                 "code-width",
                 f"stored code width {item.config.code_width} != the chip "
                 f"decompressor's {code_width} for "
-                f"{architecture.total_tam_width} internal TAM wires",
+                f"{_tam_wires(architecture)} internal TAM wires",
                 core=item.config.core_name,
             )
     stream = architecture.ate_cycles * code_width

@@ -25,6 +25,7 @@ paper identifies as cause (i) of the non-monotonic compressed test time.
 from __future__ import annotations
 
 import heapq
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -319,11 +320,35 @@ def _padded(base: WrapperDesign, m: int) -> WrapperDesign:
         chains_inputs=base.chains_inputs + (0,) * pad,
         chains_outputs=base.chains_outputs + (0,) * pad,
     )
-    # Empty chains change neither scan maximum.  Seeding both cached
-    # values spares an O(m) pass over the chains, most of the cost of
-    # a wide uncompressed point.
-    vars(design)["scan_in_max"] = base.scan_in_max
-    vars(design)["scan_out_max"] = base.scan_out_max
+    # Empty chains are zero-length and change neither scan maximum.
+    return _seeded(
+        design,
+        base.scan_in_lengths + (0,) * pad,
+        base.scan_out_lengths + (0,) * pad,
+        base.scan_in_max,
+        base.scan_out_max,
+    )
+
+
+def _seeded(
+    design: WrapperDesign,
+    scan_in: tuple[int, ...],
+    scan_out: tuple[int, ...],
+    scan_in_max: int,
+    scan_out_max: int,
+) -> WrapperDesign:
+    """``design`` with its scan lengths and maxima already cached.
+
+    The BFD passes know every chain's scan load, so they hand the
+    lengths over instead of letting the cached properties re-sum them
+    in Python per chain on first read (most of a cold plan's reads of
+    ``si``/``so``).  The values are the ones the properties compute.
+    """
+    cached = vars(design)
+    cached["scan_in_lengths"] = scan_in
+    cached["scan_out_lengths"] = scan_out
+    cached["scan_in_max"] = scan_in_max
+    cached["scan_out_max"] = scan_out_max
     return design
 
 
@@ -362,12 +387,7 @@ def _bfd_designs(core: Core, ms: list[int]) -> dict[int, WrapperDesign]:
         outputs = _distribute_cells(
             scan_load, m, core.wrapper_output_cells, order=chain_order
         )
-        designs[m] = WrapperDesign(
-            core=core,
-            chains_scan=tuple(tuple(chains) for chains in assignment),
-            chains_inputs=tuple(inputs),
-            chains_outputs=tuple(outputs),
-        )
+        designs[m] = _with_loads(core, assignment, scan_load, inputs, outputs)
     return designs
 
 
@@ -406,12 +426,27 @@ def _design_wrapper_uncached(core: Core, m: int) -> WrapperDesign:
 
     inputs = _distribute_cells(scan_load, m, core.wrapper_input_cells)
     outputs = _distribute_cells(scan_load, m, core.wrapper_output_cells)
+    return _with_loads(core, assignment, scan_load, inputs, outputs)
 
-    return WrapperDesign(
+
+def _with_loads(
+    core: Core,
+    assignment: list[list[int]],
+    scan_load: list[int],
+    inputs: list[int],
+    outputs: list[int],
+) -> WrapperDesign:
+    """The design of one BFD pass, seeded from its per-chain scan loads."""
+    design = WrapperDesign(
         core=core,
         chains_scan=tuple(tuple(chains) for chains in assignment),
         chains_inputs=tuple(inputs),
         chains_outputs=tuple(outputs),
+    )
+    scan_in = tuple(map(operator.add, inputs, scan_load))
+    scan_out = tuple(map(operator.add, scan_load, outputs))
+    return _seeded(
+        design, scan_in, scan_out, max(scan_in, default=0), max(scan_out, default=0)
     )
 
 

@@ -394,6 +394,14 @@ class TestVerifyPacked:
         report = verify_architecture(self.two_tams(4, 5, (0, None)))
         assert [v.code for v in report.violations] == ["width-budget"]
 
+    def test_time_shared_tams_count_the_wires_they_occupy(self):
+        assert self.two_tams(2, 10, (0, 0)).total_tam_width == 2
+        assert self.two_tams(4, 5, (0, 2)).total_tam_width == 4
+        assert self.two_tams(4, 10, (1, 0)).total_tam_width == 3
+        # Without offsets every TAM owns its wires, also if some have one.
+        assert self.two_tams(4, 10, (None, None)).total_tam_width == 4
+        assert self.two_tams(4, 10, (0, None)).total_tam_width == 4
+
 
 # ---------------------------------------------------------------------------
 # Pipeline integration.
@@ -536,6 +544,25 @@ class TestPackingCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "packing-bottom-left" in out
+
+    def test_packed_plan_reports_the_wires_it_occupies(self, capsys):
+        """Its time-shared TAMs' widths sum to more than the 16 it uses."""
+        code = main(
+            [
+                "plan",
+                "d695",
+                "--width",
+                "16",
+                "--architecture",
+                "packing",
+                "--schedule",
+                "packing",
+                "--gantt",
+                "--no-cache",
+            ]
+        )
+        assert code == 0
+        assert "cycles, 16 TAM wires" in capsys.readouterr().out
 
     def test_mismatched_stage_flags_are_usage_error(self, capsys):
         code = main(

@@ -21,9 +21,11 @@ from repro.serve import (
     JobState,
     PlanningService,
     PlanRequest,
+    ServiceServer,
     ServiceSettings,
     ShuttingDown,
 )
+from repro.serve.protocol import decode_message, encode_message
 
 
 class GatedRunner:
@@ -45,6 +47,18 @@ class GatedRunner:
         return json.dumps(
             {"design": payload["design"], "width": payload["width"]}
         )
+
+
+class TextRunner(GatedRunner):
+    """A gated runner whose every job returns the same result text."""
+
+    def __init__(self, text: str) -> None:
+        super().__init__()
+        self.text = text
+
+    def __call__(self, payload, **kwargs):
+        super().__call__(payload, **kwargs)
+        return self.text
 
 
 def _request(width: int = 16, **kwargs) -> PlanRequest:
@@ -224,6 +238,81 @@ class TestCancellation:
             await _drain(service)
 
         asyncio.run(scenario())
+
+
+class TestResultFanOut:
+    """What a finished job costs the event loop per client fetching it."""
+
+    def test_waiters_on_one_job_cost_one_parse(self, monkeypatch):
+        result_json = json.dumps(
+            {"soc": "d695", "schedule": [{"core": "s838", "end": 7}]}, indent=2
+        )
+        runner = TextRunner(result_json)
+        parses = []
+        loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            if text == result_json:
+                parses.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        waiters = 6
+
+        async def fetch(port, job_id):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(
+                encode_message({"op": "result", "job_id": job_id, "timeout_s": 30})
+            )
+            await writer.drain()
+            line = await reader.readline()
+            writer.close()
+            await writer.wait_closed()
+            return line
+
+        async def scenario():
+            service = _service(runner, workers=1)
+            server = ServiceServer(service, port=0)
+            await server.start()
+            job, _ = service.submit(_request())
+            asyncio.get_running_loop().call_later(0.2, runner.gate.set)
+            lines = await asyncio.gather(
+                *(fetch(server.port, job.id) for _ in range(waiters))
+            )
+            late = await fetch(server.port, job.id)
+            await server.stop()
+            return lines + [late]
+
+        lines = asyncio.run(scenario())
+        assert len(parses) == 1
+        assert len(set(lines)) == 1
+        reply = decode_message(lines[0])
+        assert reply["ok"] and reply["state"] == "done"
+        assert reply["result"] == loads(result_json)
+
+    def test_a_submission_fingerprints_its_request_once(self, monkeypatch):
+        calls = []
+        fingerprint = PlanRequest.fingerprint
+
+        def counting(request):
+            calls.append(request)
+            return fingerprint(request)
+
+        monkeypatch.setattr(PlanRequest, "fingerprint", counting)
+
+        async def scenario():
+            runner = GatedRunner()
+            service = _service(runner, workers=1)
+            await service.start()
+            job, _ = service.submit(_request())
+            runner.gate.set()
+            await service.wait(job.id, timeout=10)
+            await service.shutdown(drain=True)
+            return job
+
+        job = asyncio.run(scenario())
+        assert len(calls) == 1
+        assert job.fingerprint == fingerprint(_request())
 
 
 class TestLifecycle:

@@ -76,6 +76,7 @@ from repro.soc.industrial import load_design
 from repro.verify.fuzz import random_core, random_soc
 from repro.verify.invariants import verify_plan
 from repro.wrapper.design import (
+    WrapperDesign,
     _design_wrapper_uncached,
     clear_wrapper_design_cache,
     design_wrapper,
@@ -352,6 +353,73 @@ class TestWrapperBatchDifferential:
             useful = core.max_useful_wrapper_chains
             ms = sorted({rng.randint(1, useful + 12) for _ in range(6)})
             self._check_core(core, ms)
+
+
+#: The scan-length values a design leaves a BFD pass with.
+SEEDED = ("scan_in_lengths", "scan_out_lengths", "scan_in_max", "scan_out_max")
+
+
+def _assert_seeded_like_summed(design, where):
+    """Seeded lengths and maxima equal an unseeded twin's sums."""
+    assert set(SEEDED) <= set(vars(design)), where
+    twin = WrapperDesign(
+        design.core, design.chains_scan, design.chains_inputs, design.chains_outputs
+    )
+    for name in SEEDED:
+        seeded, summed = getattr(design, name), getattr(twin, name)
+        assert seeded == summed, (where, name)
+        assert type(seeded) is type(summed), (where, name)
+    assert all(type(length) is int for length in design.scan_in_lengths), where
+    assert all(type(length) is int for length in design.scan_out_lengths), where
+
+
+class TestSeededScanLengths:
+    """BFD designs carry the scan lengths their loads already hold."""
+
+    def _check_core(self, core):
+        useful = core.max_useful_wrapper_chains
+        ms = range(1, 2 * useful + 1)
+        clear_wrapper_design_cache()
+        try:
+            batch = design_wrappers_batch(core, ms)
+            for m in ms:
+                _assert_seeded_like_summed(batch[m], (core.name, m, "batch"))
+                scalar = _design_wrapper_uncached(core, m)
+                _assert_seeded_like_summed(scalar, (core.name, m, "scalar"))
+            # Surplus counts padded from a memoized base.
+            clear_wrapper_design_cache()
+            design_wrappers_batch(core, [useful])
+            for m, design in design_wrappers_batch(
+                core, range(useful + 1, 2 * useful + 1)
+            ).items():
+                _assert_seeded_like_summed(design, (core.name, m, "padded"))
+            clear_wrapper_design_cache()
+            for m in ms:
+                _assert_seeded_like_summed(
+                    design_wrapper(core, m), (core.name, m, "memo")
+                )
+        finally:
+            clear_wrapper_design_cache()
+
+    def test_on_fuzz_cores(self):
+        for seed in range(FUZZ_SEEDS):
+            rng = random.Random(32_000 + seed)
+            self._check_core(random_core(rng, seed))
+
+    @pytest.mark.parametrize("design_name", ["d695", "synth20"])
+    def test_on_benchmark_cores(self, design_name):
+        for core in load_design(design_name).cores:
+            self._check_core(core)
+
+    def test_batch_designs_arrive_seeded(self):
+        core = load_design("d695").cores[0]
+        clear_wrapper_design_cache()
+        try:
+            for m, design in design_wrappers_batch(core, range(1, 40)).items():
+                assert "scan_in_lengths" in vars(design), m
+                assert "scan_out_lengths" in vars(design), m
+        finally:
+            clear_wrapper_design_cache()
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,18 @@ def test_per_tam_compression_needs_the_per_tam_stages(tiny_soc, pair):
             robust_plan(tiny_soc, 8, BASE.replace(compression="per-tam"))
 
 
+@pytest.mark.parametrize("compression", ["none", "auto", "select"])
+def test_per_tam_stages_refuse_other_compression_modes(tiny_soc, compression):
+    """The per-TAM stages plan selective decompressors whatever the mode."""
+    config = BASE.replace(
+        compression=compression, architecture="per-tam", schedule="per-tam"
+    )
+    events = []
+    with pytest.raises(ValueError, match=f"the per-tam flow .* {compression!r}"):
+        plan(tiny_soc, 8, config, events=events.append)
+    assert events == []
+
+
 @pytest.mark.parametrize(
     "pair",
     [("packing", "packing"), ("per-tam", "per-tam"), ("evolutionary", "list")],
@@ -231,7 +243,7 @@ class TestGeometry:
 
         report = verify_plan(_edited(result, strip), d695)
         assert _codes(report) == ["width-budget"]
-        assert result.architecture.total_tam_width > 16
+        assert sum(tam.width for tam in result.architecture.tams) > 16
 
 
 # ---------------------------------------------------------------------------
