@@ -131,7 +131,7 @@ class WrapperStage(Stage):
             raise ValueError(
                 f"TAM width must be >= 1, got {ctx.width_budget}"
             )
-        ctx.names = list(ctx.soc.core_names)
+        ctx.names = [core.name for core in ctx.soc.cores]
         cache = config.resolve_cache()
         before = cache.stats() if cache is not None else None
         ctx.analyses = config.analyses(

@@ -12,11 +12,8 @@ from repro.serve.protocol import PlanRequest
 
 
 def _job(priority: int = 0, width: int = 16) -> Job:
-    return Job(
-        request=PlanRequest(
-            "d695", width, RunConfig(), priority=priority
-        )
-    )
+    request = PlanRequest("d695", width, RunConfig(), priority=priority)
+    return Job(request=request, fingerprint=request.fingerprint())
 
 
 def _run(coro):
